@@ -6,146 +6,20 @@ scaling-law fitting, compute-budget planning, and deterministic synthetic
 data for oracle tests.
 """
 
-from .core import (
-    MODEL_SHAPE_PRESETS,
-    RUN_FIELDS,
-    CodebookMetrics,
-    CodeUsageHistogram,
-    RunLogError,
-    RunRecord,
-    codebook_metrics,
-    load_runs,
-)
-from .flops import (
-    FlopsBreakdown,
-    ModelConfig,
-    flops_approx,
-    flops_per_token_exact,
-    params_non_embedding,
-    params_vocab,
-)
-from .fsq import (
-    LEVEL_PRESETS,
-    FsqLevels,
-    SteForward,
-    codebook_size,
-    fsq_decode_index,
-    fsq_dequantize,
-    fsq_encode_index,
-    fsq_quantize,
-    fsq_ste_forward,
-    latent_for_code,
-)
-from .planner import (
-    CONSISTENCY_TOLERANCE_LOG10,
-    FITS_PRESETS,
-    REFERENCE_PRESETS,
-    BudgetPlan,
-    ReferenceSelection,
-    VocabForModel,
-    consistency_report,
-    flops_for_loss,
-    nearest_power_of_two,
-    plan_budget,
-    predict_loss,
-    scale_faster_report,
-    vocab_for_model,
-)
-from .scaling import (
-    FrontierPoint,
-    LogLawFit,
-    PowerLawFit,
-    ScalingFits,
-    fit_all,
-    fit_log_law,
-    fit_power_law,
-    pareto_frontier,
-)
-from .seqmodel import (
-    PrefixMask,
-    TokenProbRecord,
-    build_prefix_mask,
-    ce_loss,
-    normalized_loss,
-    unigram_baseline,
-)
-from .synth import CGridSpec, SynthSpec, config_for_params, synth_latents, synth_runs
-from .vq import (
-    VqAssignment,
-    VqCodebook,
-    VqResetResult,
-    VqTrainParams,
-    commitment_loss,
-    vq_ema_update,
-    vq_quantize,
-    vq_reset,
-)
+from . import core, flops, fsq, planner, scaling, seqmodel, synth, vq
+from .core import *
+from .flops import *
+from .fsq import *
+from .planner import *
+from .scaling import *
+from .seqmodel import *
+from .synth import *
+from .vq import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MODEL_SHAPE_PRESETS",
-    "RUN_FIELDS",
-    "CodebookMetrics",
-    "CodeUsageHistogram",
-    "RunLogError",
-    "RunRecord",
-    "codebook_metrics",
-    "load_runs",
-    "FlopsBreakdown",
-    "ModelConfig",
-    "flops_approx",
-    "flops_per_token_exact",
-    "params_non_embedding",
-    "params_vocab",
-    "LEVEL_PRESETS",
-    "FsqLevels",
-    "SteForward",
-    "codebook_size",
-    "fsq_decode_index",
-    "fsq_dequantize",
-    "fsq_encode_index",
-    "fsq_quantize",
-    "fsq_ste_forward",
-    "latent_for_code",
-    "CONSISTENCY_TOLERANCE_LOG10",
-    "FITS_PRESETS",
-    "REFERENCE_PRESETS",
-    "BudgetPlan",
-    "ReferenceSelection",
-    "VocabForModel",
-    "consistency_report",
-    "flops_for_loss",
-    "nearest_power_of_two",
-    "plan_budget",
-    "predict_loss",
-    "scale_faster_report",
-    "vocab_for_model",
-    "FrontierPoint",
-    "LogLawFit",
-    "PowerLawFit",
-    "ScalingFits",
-    "fit_all",
-    "fit_log_law",
-    "fit_power_law",
-    "pareto_frontier",
-    "PrefixMask",
-    "TokenProbRecord",
-    "build_prefix_mask",
-    "ce_loss",
-    "normalized_loss",
-    "unigram_baseline",
-    "CGridSpec",
-    "SynthSpec",
-    "config_for_params",
-    "synth_latents",
-    "synth_runs",
-    "VqAssignment",
-    "VqCodebook",
-    "VqResetResult",
-    "VqTrainParams",
-    "commitment_loss",
-    "vq_ema_update",
-    "vq_quantize",
-    "vq_reset",
+    name
+    for module in (core, flops, fsq, planner, scaling, seqmodel, synth, vq)
+    for name in module.__all__
 ]

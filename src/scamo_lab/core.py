@@ -3,7 +3,7 @@
 Training runs travel as JSONL, one object per line, with the fields of
 RunRecord. Loading is strict: any malformed line fails the whole load, and
 records missing a flops value get it filled from the 6 * (N_nv + N_v) * D
-approximation at ff_ratio 4.
+approximation. Every run is costed with a feed-forward width of 4 * d_model.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Iterable, NamedTuple
 
 import numpy as np
@@ -39,28 +39,14 @@ MODEL_SHAPE_PRESETS: dict[str, tuple[int, int, int]] = {
     "scamo-3b": (24, 32, 3200),
 }
 
-# JSONL schema, in serialization order. flops is optional on input.
-RUN_FIELDS = (
-    "run_id",
-    "n_layers",
-    "n_heads",
-    "d_model",
-    "n_ctx",
-    "vocab_size",
-    "tokens_trained",
-    "flops",
-    "normalized_loss",
-)
 
-_INT_FIELDS = ("n_layers", "n_heads", "d_model", "n_ctx", "vocab_size", "tokens_trained")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunRecord:
     """One training run from a scaling sweep.
 
     normalized_loss is a per-token loss in nats measured against a baseline,
-    so negative values are legal (the model beats the baseline).
+    so negative values are legal (the model beats the baseline). The five
+    shape fields are checked once, by the ModelConfig that config() returns.
     """
 
     run_id: str
@@ -72,50 +58,49 @@ class RunRecord:
     tokens_trained: int
     flops: float | None
     normalized_loss: float
+    _config: ModelConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.run_id, str) or not self.run_id:
             raise ValueError("run_id must be a non-empty string")
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if self.d_model % self.n_heads != 0:
-            raise ValueError(
-                f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})"
-            )
+        config = ModelConfig(self.n_layers, self.n_heads, self.d_model, self.n_ctx, self.vocab_size)
+        object.__setattr__(self, "_config", config)
+        tokens = self.tokens_trained
+        if not isinstance(tokens, int) or isinstance(tokens, bool) or tokens < 1:
+            raise ValueError(f"tokens_trained must be a positive integer, got {tokens!r}")
         if self.flops is not None and not (math.isfinite(self.flops) and self.flops > 0):
             raise ValueError(f"flops must be positive and finite, got {self.flops!r}")
         if not math.isfinite(self.normalized_loss):
             raise ValueError(f"normalized_loss must be finite, got {self.normalized_loss!r}")
+        try:
+            float(self.n_nv() + self.n_v), float(tokens)
+        except OverflowError:
+            raise ValueError("n_nv + n_v and tokens_trained must fit in a float") from None
 
-    def config(self, ff_ratio: int = 4) -> ModelConfig:
-        return ModelConfig(
-            n_layers=self.n_layers,
-            n_heads=self.n_heads,
-            d_model=self.d_model,
-            n_ctx=self.n_ctx,
-            n_vocab=self.vocab_size,
-            ff_ratio=ff_ratio,
-        )
+    def config(self) -> ModelConfig:
+        return self._config
 
     @property
     def n_v(self) -> int:
         return params_vocab(self.vocab_size, self.d_model)
 
-    def n_nv(self, ff_ratio: int = 4) -> int:
-        return params_non_embedding(self.config(ff_ratio))
+    def n_nv(self) -> int:
+        return params_non_embedding(self._config)
 
-    def with_flops_filled(self, ff_ratio: int = 4) -> "RunRecord":
+    def with_flops_filled(self) -> "RunRecord":
         """Return self, or a copy with flops = 6 * (N_nv + N_v) * D when absent."""
         if self.flops is not None:
             return self
-        filled = flops_approx(self.n_nv(ff_ratio), self.n_v, self.tokens_trained)
+        filled = flops_approx(self.n_nv(), self.n_v, self.tokens_trained)
         return dataclasses.replace(self, flops=filled)
 
     def to_dict(self) -> dict:
         """Field dict in schema order, for JSONL emission."""
         return {name: getattr(self, name) for name in RUN_FIELDS}
+
+
+# JSONL schema, in serialization order. flops is optional on input.
+RUN_FIELDS = tuple(f.name for f in dataclasses.fields(RunRecord) if f.init)
 
 
 class RunLogError(ValueError):
@@ -128,6 +113,16 @@ class RunLogError(ValueError):
         super().__init__(f"invalid run log: {head}{tail}")
 
 
+def _json_number(name: str, value: object) -> float:
+    """A JSON number (not a boolean) as a float; ValueError past float range."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is out of float range") from None
+
+
 def _record_from_json(obj: object) -> RunRecord:
     if not isinstance(obj, dict):
         raise ValueError("line must be a JSON object")
@@ -137,21 +132,14 @@ def _record_from_json(obj: object) -> RunRecord:
     missing = sorted(set(RUN_FIELDS) - {"flops"} - set(obj))
     if missing:
         raise ValueError(f"missing field(s): {', '.join(missing)}")
-    kwargs: dict = {"run_id": obj["run_id"]}
-    for name in _INT_FIELDS:
-        value = obj[name]
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be a JSON integer, got {value!r}")
-        kwargs[name] = value
     flops = obj.get("flops")
-    if flops is not None and not isinstance(flops, (int, float)):
-        raise ValueError(f"flops must be a number, got {flops!r}")
-    kwargs["flops"] = None if flops is None else float(flops)
-    loss = obj["normalized_loss"]
-    if not isinstance(loss, (int, float)) or isinstance(loss, bool):
-        raise ValueError(f"normalized_loss must be a number, got {loss!r}")
-    kwargs["normalized_loss"] = float(loss)
-    return RunRecord(**kwargs)
+    return RunRecord(
+        **{
+            **obj,
+            "flops": None if flops is None else _json_number("flops", flops),
+            "normalized_loss": _json_number("normalized_loss", obj["normalized_loss"]),
+        }
+    )
 
 
 def load_runs(source: IO[str] | IO[bytes] | Iterable[str] | Iterable[bytes] | str | bytes) -> list[RunRecord]:
@@ -160,23 +148,29 @@ def load_runs(source: IO[str] | IO[bytes] | Iterable[str] | Iterable[bytes] | st
     source may be an open file, an iterable of lines, or the whole document as
     one string. Blank lines are skipped. Every malformed line is reported with
     its line number in a single RunLogError; nothing is returned unless the
-    entire log is valid. Records without flops get it filled from the compute
-    approximation.
+    entire log is valid. run_ids must be unique. Records without flops get it
+    filled from the compute approximation.
     """
     if isinstance(source, (str, bytes)):
         source = source.splitlines()
     records: list[RunRecord] = []
     errors: list[tuple[int, str]] = []
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(source, start=1):
         line = raw.decode("utf-8") if isinstance(raw, bytes) else raw
         line = line.strip()
         if not line:
             continue
         try:
-            records.append(_record_from_json(json.loads(line)).with_flops_filled())
+            record = _record_from_json(json.loads(line)).with_flops_filled()
         except (ValueError, TypeError) as exc:
             msg = str(exc) or exc.__class__.__name__
             errors.append((lineno, msg))
+            continue
+        earlier = first_line.setdefault(record.run_id, lineno)
+        if earlier != lineno:
+            errors.append((lineno, f"duplicate run_id {record.run_id!r} (first on line {earlier})"))
+        records.append(record)
     if errors:
         raise RunLogError(errors)
     return records

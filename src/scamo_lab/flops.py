@@ -22,7 +22,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelConfig:
     """Decoder-only transformer shape.
 

@@ -9,17 +9,18 @@ silently absorbed; callers may opt into rescaling the token count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 from .scaling import LogLawFit, PowerLawFit, ScalingFits
 
 __all__ = [
+    "CONSISTENCY_TOLERANCE_LOG10",
     "FITS_PRESETS",
     "REFERENCE_PRESETS",
     "ReferenceSelection",
     "BudgetPlan",
-    "predict_loss",
+    "VocabForModel",
     "flops_for_loss",
     "nearest_power_of_two",
     "plan_budget",
@@ -66,11 +67,6 @@ REFERENCE_PRESETS: dict[str, ReferenceSelection] = {
 CONSISTENCY_TOLERANCE_LOG10 = 0.35
 
 
-def predict_loss(c_flops: float, law: LogLawFit) -> float:
-    """Loss the fitted log law predicts at a compute budget."""
-    return law.evaluate(c_flops)
-
-
 def flops_for_loss(target_loss: float, law: LogLawFit) -> float:
     """Invert the log law: the budget at which it predicts target_loss."""
     if not math.isfinite(target_loss):
@@ -107,16 +103,7 @@ class BudgetPlan:
     constraint_residual_log10: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "flops_budget": self.flops_budget,
-            "n_nv": self.n_nv,
-            "n_v": self.n_v,
-            "vocab_size": self.vocab_size,
-            "vocab_pow2": self.vocab_pow2,
-            "d_tokens": self.d_tokens,
-            "predicted_loss": self.predicted_loss,
-            "constraint_residual_log10": self.constraint_residual_log10,
-        }
+        return asdict(self)
 
 
 def plan_budget(
@@ -176,11 +163,7 @@ def consistency_report(
     }
     within = {name: abs(gap) <= tolerance_log10 for name, gap in gaps.items()}
     return {
-        "reference": {
-            "n_nv": reference.n_nv,
-            "vocab_size": reference.vocab_size,
-            "d_tokens": reference.d_tokens,
-        },
+        "reference": asdict(reference),
         "tolerance_log10": tolerance_log10,
         "log10_gaps": gaps,
         "within_tolerance": within,

@@ -10,13 +10,12 @@ the compute identity is a planner-level diagnostic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import asdict, dataclass, fields
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .core import RunRecord
-from .flops import params_non_embedding, params_vocab
+from .core import RunRecord, _json_number
 
 __all__ = [
     "PowerLawFit",
@@ -75,11 +74,6 @@ class LogLawFit:
         return self.slope * math.log10(c) + self.intercept
 
 
-_POWER_KEYS = ("log10_coef", "exponent", "r2")
-_LOG_KEYS = ("slope", "intercept", "r2")
-_FIT_NAMES = ("nv_vs_c", "nnv_vs_c", "d_vs_c", "nv_vs_nnv", "loss_vs_c")
-
-
 @dataclass(frozen=True)
 class ScalingFits:
     """The five fitted laws of one scaling study."""
@@ -91,42 +85,32 @@ class ScalingFits:
     loss_vs_c: LogLawFit
 
     def to_json_dict(self) -> dict:
-        out: dict = {}
-        for name in _FIT_NAMES[:4]:
-            fit = getattr(self, name)
-            out[name] = {"log10_coef": fit.log10_coef, "exponent": fit.exponent, "r2": fit.r2}
-        out["loss_vs_c"] = {
-            "slope": self.loss_vs_c.slope,
-            "intercept": self.loss_vs_c.intercept,
-            "r2": self.loss_vs_c.r2,
-        }
-        return out
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ScalingFits":
+        """Inverse of to_json_dict. Coefficients must be JSON numbers; r2 may be null."""
         if not isinstance(obj, dict):
             raise ValueError("fits document must be a JSON object")
-        missing = sorted(set(_FIT_NAMES) - set(obj))
+        laws = get_type_hints(cls)
+        missing = sorted(set(laws) - set(obj))
         if missing:
             raise ValueError(f"fits document missing: {', '.join(missing)}")
         kwargs = {}
-        for name in _FIT_NAMES[:4]:
+        for name, law in laws.items():
             entry = obj[name]
-            if not isinstance(entry, dict) or set(entry) != set(_POWER_KEYS):
-                raise ValueError(f"{name} must be an object with keys {_POWER_KEYS}")
-            kwargs[name] = PowerLawFit(
-                log10_coef=float(entry["log10_coef"]),
-                exponent=float(entry["exponent"]),
-                r2=None if entry["r2"] is None else float(entry["r2"]),
+            params = fields(law)
+            keys = tuple(p.name for p in params)
+            if not isinstance(entry, dict) or set(entry) != set(keys):
+                raise ValueError(f"{name} must be an object with keys {keys}")
+            kwargs[name] = law(
+                **{
+                    p.name: None
+                    if entry[p.name] is None and p.default is None
+                    else _json_number(f"{name}.{p.name}", entry[p.name])
+                    for p in params
+                }
             )
-        entry = obj["loss_vs_c"]
-        if not isinstance(entry, dict) or set(entry) != set(_LOG_KEYS):
-            raise ValueError(f"loss_vs_c must be an object with keys {_LOG_KEYS}")
-        kwargs["loss_vs_c"] = LogLawFit(
-            slope=float(entry["slope"]),
-            intercept=float(entry["intercept"]),
-            r2=None if entry["r2"] is None else float(entry["r2"]),
-        )
         return cls(**kwargs)
 
 
@@ -149,7 +133,6 @@ class FrontierPoint:
 def pareto_frontier(
     runs: Sequence[RunRecord],
     bin_width_log10: float = 0.25,
-    ff_ratio: int = 4,
 ) -> list[FrontierPoint]:
     """Loss-minimizing run per compute bucket, ascending in compute.
 
@@ -166,8 +149,8 @@ def pareto_frontier(
         if run.flops is None:
             raise ValueError(f"run {run.run_id!r} has no flops value")
         bucket = math.floor(math.log10(run.flops) / bin_width_log10)
-        n_nv = params_non_embedding(run.config(ff_ratio))
-        n_v = params_vocab(run.vocab_size, run.d_model)
+        n_nv = run.n_nv()
+        n_v = run.n_v
         key = (run.normalized_loss, n_nv, n_v, run.run_id)
         if bucket not in best or key < best[bucket][0]:
             best[bucket] = (key, run, n_nv, n_v)

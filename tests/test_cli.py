@@ -297,6 +297,31 @@ def test_plan_unknown_fits(invoke):
     assert code == 1 and "neither a fits preset" in err
 
 
+@pytest.mark.parametrize("bad", [[1], "1", True])
+@pytest.mark.parametrize("command", ["plan", "synth"])
+def test_bad_fits_coefficient_is_one_error_line(invoke, tmp_path, command, bad):
+    doc = FITS_PRESETS["scamo-paper"].to_json_dict()
+    doc["nv_vs_c"] = {**doc["nv_vs_c"], "log10_coef": bad}
+    fits_path = tmp_path / "fits.json"
+    fits_path.write_text(json.dumps(doc))
+    argv = {
+        "plan": ["plan", "--flops", "1e18", "--fits", str(fits_path), "--d-model", "3200"],
+        "synth": ["synth", "--laws", str(fits_path)],
+    }[command]
+    code, out, err = invoke(argv)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: nv_vs_c.log10_coef must be a number, got {bad!r}"]
+
+
+def test_fit_rejects_run_past_float_range(invoke):
+    record = {**json.loads(RUN_LINE), "n_layers": int("9" * 330)}
+    code, out, err = invoke(["fit", "--bin-width", "0.5"], stdin=json.dumps(record))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: invalid run log: line 1: n_nv + n_v and tokens_trained must fit in a float"
+    ]
+
+
 def test_synth_output_loads(invoke):
     code, out, _ = invoke(
         ["synth", "--grid-min", "15.0", "--grid-max", "16.0", "--grid-points", "3",

@@ -132,6 +132,44 @@ def test_load_runs_rejects_bool_int_fields():
         load_runs(line_of({**GOOD, "normalized_loss": True}))
 
 
+def test_load_runs_rejects_bool_flops():
+    with pytest.raises(RunLogError) as err:
+        load_runs(line_of({**GOOD, "flops": True}))
+    assert err.value.errors == [(1, "flops must be a number, got True")]
+
+
+HUGE = int("9" * 330)  # past float range
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"n_layers": HUGE, "flops": None},  # the flops fill must not overflow
+        {"n_layers": HUGE},  # flops given: pareto_frontier still needs float(n_nv)
+        {"vocab_size": HUGE},
+        {"tokens_trained": HUGE},
+    ],
+)
+def test_load_runs_rejects_counts_past_float_range(overrides):
+    with pytest.raises(RunLogError) as err:
+        load_runs(line_of({**GOOD, **overrides}))
+    assert err.value.errors == [(1, "n_nv + n_v and tokens_trained must fit in a float")]
+
+
+def test_load_runs_rejects_infinite_filled_flops():
+    record = {**GOOD, "n_layers": 10**290, "n_heads": 1, "d_model": 1, "tokens_trained": 10**20}
+    del record["flops"]
+    with pytest.raises(RunLogError, match="line 1: flops must be positive and finite"):
+        load_runs(line_of(record))
+
+
+def test_load_runs_rejects_duplicate_run_id():
+    lines = [line_of(GOOD), line_of({**GOOD, "run_id": "run-2"}), line_of(GOOD)]
+    with pytest.raises(RunLogError) as err:
+        load_runs("\n".join(lines))
+    assert err.value.errors == [(3, "duplicate run_id 'run-1' (first on line 1)")]
+
+
 def test_load_runs_empty_input():
     assert load_runs("") == []
     assert load_runs("\n   \n") == []

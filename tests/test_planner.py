@@ -14,7 +14,6 @@ from scamo_lab import (
     flops_for_loss,
     nearest_power_of_two,
     plan_budget,
-    predict_loss,
     scale_faster_report,
     vocab_for_model,
 )
@@ -39,14 +38,14 @@ def test_reference_preset():
 
 
 def test_predict_loss_at_1e18():
-    assert predict_loss(1e18, PRESET.loss_vs_c) == pytest.approx(-5.277, abs=1e-12)
+    assert PRESET.loss_vs_c.evaluate(1e18) == pytest.approx(-5.277, abs=1e-12)
 
 
 def test_flops_for_loss_inverts():
     law = PRESET.loss_vs_c
     for target in (-5.277, -3.0, 0.0):
         c = flops_for_loss(target, law)
-        assert predict_loss(c, law) == pytest.approx(target, abs=1e-9)
+        assert law.evaluate(c) == pytest.approx(target, abs=1e-9)
     with pytest.raises(ValueError, match="zero slope"):
         flops_for_loss(-1.0, LogLawFit(slope=0.0, intercept=1.0))
 

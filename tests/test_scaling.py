@@ -214,3 +214,11 @@ def test_fits_json_strict_keys():
         ScalingFits.from_json_dict(broken)
     with pytest.raises(ValueError, match="object"):
         ScalingFits.from_json_dict([1, 2])
+
+
+@pytest.mark.parametrize("bad", [[1], "1", True, None])
+def test_fits_json_rejects_non_number_coefficients(bad):
+    doc = make_fits().to_json_dict()
+    doc["nv_vs_nnv"] = {**doc["nv_vs_nnv"], "exponent": bad}
+    with pytest.raises(ValueError, match=r"^nv_vs_nnv\.exponent must be a number"):
+        ScalingFits.from_json_dict(doc)
