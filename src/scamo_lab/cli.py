@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Every subcommand computes its full result first and only then writes it, so a
-failure never leaves a partial output file. Results go to stdout as JSON (or
-JSONL for record streams) unless --out is given; diagnostics go to stderr.
+Every subcommand computes its full result first and only then writes it, each
+file through a temp file beside it, so a failure never leaves a file behind.
+Results go to stdout as JSON (or JSONL for record streams) unless --out is
+given; diagnostics go to stderr.
 Output is deterministic: fixed key order, floats at 17 significant digits.
 
 Exit codes: 0 success, 1 invalid input or data, 2 usage errors.
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import errno
 import io
 import json
 import math
@@ -63,32 +66,23 @@ def _write_json(obj, out: list[str], indent: int | None, depth: int) -> None:
         out.append(_fmt_float(float(obj)))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        items = list(obj.items())
+    elif isinstance(obj, (dict, list, tuple, np.ndarray)):
+        if isinstance(obj, dict):
+            brackets = "{}"
+            items = [(json.dumps(str(key)) + ": ", value) for key, value in obj.items()]
+        else:
+            brackets = "[]"
+            items = [("", v) for v in (obj.tolist() if isinstance(obj, np.ndarray) else obj)]
         if not items:
-            out.append("{}")
+            out.append(brackets)
             return
-        open_, close, sep, pad = "{", "}", ", ", ""
+        sep, pad, close = ", ", "", brackets[1]
         if indent is not None:
             sep = ","
             pad = "\n" + " " * (indent * (depth + 1))
-            close = "\n" + " " * (indent * depth) + "}"
-        for k, (key, value) in enumerate(items):
-            out.append((open_ if k == 0 else sep) + pad + json.dumps(str(key)) + ": ")
-            _write_json(value, out, indent, depth + 1)
-        out.append(close)
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        open_, close, sep, pad = "[", "]", ", ", ""
-        if indent is not None:
-            sep = ","
-            pad = "\n" + " " * (indent * (depth + 1))
-            close = "\n" + " " * (indent * depth) + "]"
-        for k, value in enumerate(seq):
-            out.append((open_ if k == 0 else sep) + pad)
+            close = "\n" + " " * (indent * depth) + brackets[1]
+        for k, (prefix, value) in enumerate(items):
+            out.append((brackets[0] if k == 0 else sep) + pad + prefix)
             _write_json(value, out, indent, depth + 1)
         out.append(close)
     else:
@@ -158,7 +152,8 @@ def _run_lines(records: list[RunRecord]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns the full output text
+# subcommand handlers; each returns the full output text and writes nothing
+# (frontier also returns its --csv file)
 
 
 def _cmd_flops(args) -> str:
@@ -170,18 +165,7 @@ def _cmd_flops(args) -> str:
         n_vocab=args.vocab,
         ff_ratio=args.ff_ratio,
     )
-    b = flops_per_token_exact(cfg)
-    return dumps(
-        {
-            "embeddings": b.embeddings,
-            "attn_qkv": b.attn_qkv,
-            "attn_mask": b.attn_mask,
-            "attn_project": b.attn_project,
-            "ff": b.ff,
-            "logits": b.logits,
-            "total": b.total,
-        }
-    ) + "\n"
+    return dumps(dataclasses.asdict(flops_per_token_exact(cfg))) + "\n"
 
 
 def _cmd_fsq(args) -> str:
@@ -215,16 +199,8 @@ def _cmd_vq(args) -> str:
     codebook = VqCodebook.fresh(entries)
     indices = [vq_quantize(z, codebook).index for z in latents]
     hist = CodeUsageHistogram(np.bincount(indices, minlength=codebook.size))
-    metrics = codebook_metrics(hist)
-    return dumps(
-        {
-            "counts": hist.counts,
-            "total": hist.total,
-            "utilization": metrics.utilization,
-            "shannon_entropy_nats": metrics.shannon_entropy_nats,
-            "exp_entropy": metrics.exp_entropy,
-        }
-    ) + "\n"
+    metrics = codebook_metrics(hist)._asdict()
+    return dumps({"counts": hist.counts, "total": hist.total, **metrics}) + "\n"
 
 
 def _cmd_normloss(args) -> str:
@@ -269,32 +245,25 @@ def _frontier_rows(args) -> list:
     return pareto_frontier(runs, bin_width_log10=args.bin_width)
 
 
-def _cmd_frontier(args) -> str:
-    frontier = _frontier_rows(args)
-    if args.csv is not None:
-        lines = ["flops,n_nv,n_v,d_tokens,loss"]
-        for p in frontier:
-            lines.append(
-                ",".join(
-                    _fmt_float(v) for v in (p.run.flops, p.n_nv, p.n_v, p.d_tokens, p.loss)
-                )
-            )
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    return dumps(
-        [
-            {
-                "flops_bucket_log10": p.flops_bucket_log10,
-                "run_id": p.run.run_id,
-                "flops": p.run.flops,
-                "n_nv": p.n_nv,
-                "n_v": p.n_v,
-                "d_tokens": p.d_tokens,
-                "loss": p.loss,
-            }
-            for p in frontier
-        ]
-    ) + "\n"
+def _cmd_frontier(args) -> tuple[str, dict[str, str]]:
+    """The frontier JSON text, plus the table of its numeric columns keyed by
+    the --csv path when one is given."""
+    rows = [
+        {
+            "flops_bucket_log10": p.flops_bucket_log10,
+            "run_id": p.run.run_id,
+            "flops": p.run.flops,
+            "n_nv": p.n_nv,
+            "n_v": p.n_v,
+            "d_tokens": p.d_tokens,
+            "loss": p.loss,
+        }
+        for p in _frontier_rows(args)
+    ]
+    columns = ("flops", "n_nv", "n_v", "d_tokens", "loss")
+    table = [",".join(columns)] + [",".join(_fmt_float(row[c]) for c in columns) for row in rows]
+    csv_file = {args.csv: "\n".join(table) + "\n"} if args.csv is not None else {}
+    return dumps(rows) + "\n", csv_file
 
 
 def _cmd_fit(args) -> str:
@@ -355,36 +324,30 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--preset", help="level preset name, e.g. 2^10")
     group.add_argument("--levels", help="comma-separated level counts, e.g. 8,5,5,5")
     p.add_argument("--in", dest="infile", default=None, help="input JSON path (default stdin)")
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_fsq)
 
     p = sub.add_parser("vq", help="assign latents to a codebook and report usage metrics")
     p.add_argument("--latents", required=True, help="CSV of latent rows")
     p.add_argument("--codebook", required=True, help="CSV of codebook entries")
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_vq)
 
     p = sub.add_parser("normloss", help="normalized loss from (model_logp, baseline_logp) CSV")
     p.add_argument("--in", dest="infile", default=None, help="input CSV path (default stdin)")
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_normloss)
 
     p = sub.add_parser("ingest", help="validate a run JSONL log and fill missing flops")
     p.add_argument("--runs", default=None, help="run JSONL path (default stdin)")
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_ingest)
 
     p = sub.add_parser("frontier", help="isoFLOPs frontier of a run log")
     p.add_argument("--runs", default=None, help="run JSONL path (default stdin)")
     p.add_argument("--bin-width", dest="bin_width", type=float, default=0.25)
     p.add_argument("--csv", default=None, help="also write flops,n_nv,n_v,d_tokens,loss CSV here")
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_frontier)
 
     p = sub.add_parser("fit", help="fit scaling laws to a run log's frontier")
     p.add_argument("--runs", default=None, help="run JSONL path (default stdin)")
     p.add_argument("--bin-width", dest="bin_width", type=float, default=0.25)
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("plan", help="evaluate fitted laws at a compute budget")
@@ -392,7 +355,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fits", required=True, help="fits preset name or fits JSON path")
     p.add_argument("--d-model", dest="d_model", type=int, required=True)
     p.add_argument("--rescale-d", dest="rescale_d", action="store_true")
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_plan)
 
     p = sub.add_parser("synth", help="emit a synthetic run JSONL log")
@@ -405,9 +367,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--seed", type=int, default=None, help=f"default: ${SEED_ENV_VAR} or {DEFAULT_SEED}"
     )
-    p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_synth)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return parser
 
 
@@ -419,20 +382,42 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        text = args.handler(args)
-    except ValueError as exc:
+        result = args.handler(args)
+        text, files = result if isinstance(result, tuple) else (result, {})
+        if args.out:
+            files[args.out] = text
+        _write_files(files)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return 0
+
+
+def _write_files(files: dict[str, str]) -> None:
+    """Write every file to a temp file beside it, then move each into place.
+
+    No file is created unless all of them were written; errors name the
+    target path, not the temp file.
+    """
+    moves: list[tuple[str, str]] = []
+    try:
+        for path, text in files.items():
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            tmp = f"{path}.{os.getpid()}.tmp"
+            with open(tmp, "x", encoding="utf-8") as fh:
+                moves.append((tmp, path))
+                fh.write(text)
+        for tmp, path in moves:
+            os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        for tmp, _ in moves:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def main() -> None:

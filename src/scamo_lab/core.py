@@ -16,7 +16,7 @@ from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
-from .flops import ModelConfig, flops_approx, params_non_embedding, params_vocab
+from .flops import ModelConfig, _check_int, flops_approx, params_non_embedding, params_vocab
 
 __all__ = [
     "MODEL_SHAPE_PRESETS",
@@ -65,15 +65,13 @@ class RunRecord:
             raise ValueError("run_id must be a non-empty string")
         config = ModelConfig(self.n_layers, self.n_heads, self.d_model, self.n_ctx, self.vocab_size)
         object.__setattr__(self, "_config", config)
-        tokens = self.tokens_trained
-        if not isinstance(tokens, int) or isinstance(tokens, bool) or tokens < 1:
-            raise ValueError(f"tokens_trained must be a positive integer, got {tokens!r}")
+        _check_int("tokens_trained", self.tokens_trained)
         if self.flops is not None and not (math.isfinite(self.flops) and self.flops > 0):
             raise ValueError(f"flops must be positive and finite, got {self.flops!r}")
         if not math.isfinite(self.normalized_loss):
             raise ValueError(f"normalized_loss must be finite, got {self.normalized_loss!r}")
         try:
-            float(self.n_nv() + self.n_v), float(tokens)
+            float(self.n_nv() + self.n_v), float(self.tokens_trained)
         except OverflowError:
             raise ValueError("n_nv + n_v and tokens_trained must fit in a float") from None
 
@@ -176,6 +174,21 @@ def load_runs(source: IO[str] | IO[bytes] | Iterable[str] | Iterable[bytes] | st
     return records
 
 
+def _integer_counts(name: str, values) -> np.ndarray:
+    """A non-empty 1-D array of non-negative whole numbers, as int64."""
+    counts = np.asarray(values)
+    if counts.ndim != 1 or counts.size == 0:
+        raise ValueError(f"{name} must be a non-empty 1-D array")
+    if not np.issubdtype(counts.dtype, np.integer):
+        as_float = np.asarray(counts, dtype=np.float64)
+        counts = as_float.astype(np.int64)
+        if not np.array_equal(counts, as_float):
+            raise ValueError(f"{name} must be integers")
+    if (counts < 0).any():
+        raise ValueError(f"{name} must be non-negative")
+    return counts.astype(np.int64)
+
+
 @dataclass
 class CodeUsageHistogram:
     """Usage counts per quantizer code; counts[k] is how often code k fired."""
@@ -184,18 +197,7 @@ class CodeUsageHistogram:
     total: int | None = None
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts)
-        if counts.ndim != 1 or counts.size == 0:
-            raise ValueError("counts must be a non-empty 1-D array")
-        if not np.issubdtype(counts.dtype, np.integer):
-            rounded = np.asarray(counts, dtype=np.float64)
-            as_int = rounded.astype(np.int64)
-            if not np.array_equal(as_int, rounded):
-                raise ValueError("counts must be integers")
-            counts = as_int
-        if (counts < 0).any():
-            raise ValueError("counts must be non-negative")
-        self.counts = counts.astype(np.int64)
+        self.counts = _integer_counts("counts", self.counts)
         total = int(self.counts.sum())
         if self.total is None:
             self.total = total

@@ -22,6 +22,15 @@ __all__ = [
 ]
 
 
+def _check_int(name: str, value: object, minimum: int | None = 1) -> None:
+    """The package's one integer rule: an int, never a bool, of at least minimum."""
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if not is_int or (minimum is not None and value < minimum):
+        kind = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+        kind = kind.get(minimum, f"an integer >= {minimum}")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class ModelConfig:
     """Decoder-only transformer shape.
@@ -39,9 +48,7 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_layers", "n_heads", "d_model", "n_ctx", "n_vocab", "ff_ratio"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            _check_int(name, getattr(self, name))
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})"

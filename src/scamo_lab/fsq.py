@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import expit, logit
+
+from .flops import _check_int
 
 __all__ = [
     "FsqLevels",
@@ -46,8 +47,7 @@ class FsqLevels:
         if len(self.levels) == 0:
             raise ValueError("levels must be non-empty")
         for lv in self.levels:
-            if not isinstance(lv, int) or isinstance(lv, bool) or lv < 2:
-                raise ValueError(f"every level count must be an integer >= 2, got {lv!r}")
+            _check_int("every level count", lv, minimum=2)
         if math.prod(self.levels) > _MAX_CODEBOOK:
             raise ValueError("codebook size exceeds the exact int64 range")
 
@@ -81,6 +81,20 @@ def _levels_of(levels: FsqLevels | Sequence[int]) -> FsqLevels:
 def codebook_size(levels: FsqLevels | Sequence[int]) -> int:
     """Number of distinct codes, prod(levels), as an exact integer."""
     return math.prod(_levels_of(levels).levels)
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)); an overflowing exp gives exactly 0, as it should."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
+def _logit(v: np.ndarray) -> np.ndarray:
+    """log(v / (1 - v)); scipy's piecewise form, log1p near v = 1/2 where the ratio loses bits."""
+    s = 2.0 * (v - 0.5)
+    near_half = (v >= 0.3) & (v <= 0.65)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(near_half, np.log1p(s) - np.log1p(-s), np.log(v / (1.0 - v)))
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -121,7 +135,7 @@ def fsq_quantize(z, levels: FsqLevels | Sequence[int]) -> np.ndarray:
     lv = _levels_of(levels)
     z = _check_latents(z, lv)
     spans = np.asarray(lv.levels, dtype=np.float64) - 1.0
-    return (1 + _round_half_away(expit(z) * spans)).astype(np.int64)
+    return (1 + _round_half_away(_sigmoid(z) * spans)).astype(np.int64)
 
 
 def fsq_dequantize(q, levels: FsqLevels | Sequence[int]) -> np.ndarray:
@@ -179,7 +193,7 @@ def fsq_ste_forward(z, levels: FsqLevels | Sequence[int]) -> SteForward:
     lv = _levels_of(levels)
     z = _check_latents(z, lv)
     value = fsq_dequantize(fsq_quantize(z, lv), lv)
-    s = expit(z)
+    s = _sigmoid(z)
     return SteForward(value=value, surrogate_jacobian_diag=s * (1.0 - s))
 
 
@@ -188,4 +202,4 @@ def latent_for_code(q, levels: FsqLevels | Sequence[int], eps: float = 1e-6) -> 
     (eps, 1 - eps) so the endpoint codes stay finite."""
     lv = _levels_of(levels)
     v = np.clip(fsq_dequantize(q, lv), eps, 1.0 - eps)
-    return logit(v)
+    return _logit(v)

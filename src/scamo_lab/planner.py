@@ -12,6 +12,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
+from .flops import _check_int
 from .scaling import LogLawFit, PowerLawFit, ScalingFits
 
 __all__ = [
@@ -41,8 +42,7 @@ class ReferenceSelection:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.n_nv) and self.n_nv > 0):
             raise ValueError("n_nv must be positive and finite")
-        if not isinstance(self.vocab_size, int) or self.vocab_size < 1:
-            raise ValueError("vocab_size must be a positive integer")
+        _check_int("vocab_size", self.vocab_size)
         if not (math.isfinite(self.d_tokens) and self.d_tokens > 0):
             raise ValueError("d_tokens must be positive and finite")
 
@@ -78,8 +78,7 @@ def flops_for_loss(target_loss: float, law: LogLawFit) -> float:
 
 def nearest_power_of_two(n: int) -> int:
     """Nearest power of two in log2 space; exact ties round up."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_int("n", n)
     k = n.bit_length() - 1  # floor(log2 n)
     # closer to 2**(k+1) iff log2(n) >= k + 0.5, i.e. n**2 >= 2**(2k+1)
     return 1 << (k + 1) if n * n >= 1 << (2 * k + 1) else 1 << k
@@ -122,8 +121,7 @@ def plan_budget(
     """
     if not (math.isfinite(c_flops) and c_flops > 0):
         raise ValueError(f"c_flops must be positive and finite, got {c_flops!r}")
-    if not isinstance(d_model, int) or isinstance(d_model, bool) or d_model < 1:
-        raise ValueError(f"d_model must be a positive integer, got {d_model!r}")
+    _check_int("d_model", d_model)
     n_v = fits.nv_vs_c.evaluate(c_flops)
     n_nv = fits.nnv_vs_c.evaluate(c_flops)
     d_tokens = fits.d_vs_c.evaluate(c_flops)
@@ -179,8 +177,7 @@ class VocabForModel(NamedTuple):
 
 def vocab_for_model(n_nv: float, law: PowerLawFit, d_model: int) -> VocabForModel:
     """Vocabulary recommended for a model with n_nv non-embedding params."""
-    if not isinstance(d_model, int) or isinstance(d_model, bool) or d_model < 1:
-        raise ValueError(f"d_model must be a positive integer, got {d_model!r}")
+    _check_int("d_model", d_model)
     n_v = law.evaluate(n_nv)
     vocab = max(1, _half_up(n_v / d_model))
     return VocabForModel(n_v=n_v, vocab_size=vocab, vocab_pow2=nearest_power_of_two(vocab))

@@ -136,9 +136,10 @@ def pareto_frontier(
 ) -> list[FrontierPoint]:
     """Loss-minimizing run per compute bucket, ascending in compute.
 
-    Buckets are floor(log10(flops) / bin_width) * bin_width. Loss ties prefer
-    smaller n_nv, then smaller n_v, then the lexicographically smaller run_id.
-    Every run must have flops set.
+    Buckets are floor(log10(flops) / bin_width) * bin_width, and a run exactly
+    on an edge k * bin_width falls in bucket k. Loss ties prefer smaller n_nv,
+    then smaller n_v, then the lexicographically smaller run_id. Every run
+    must have flops set.
     """
     if not (math.isfinite(bin_width_log10) and bin_width_log10 > 0):
         raise ValueError(f"bin_width_log10 must be positive, got {bin_width_log10!r}")
@@ -148,7 +149,11 @@ def pareto_frontier(
     for run in runs:
         if run.flops is None:
             raise ValueError(f"run {run.run_id!r} has no flops value")
-        bucket = math.floor(math.log10(run.flops) / bin_width_log10)
+        # log10 and the division each round, so flops exactly on an edge
+        # k * bin_width can give a quotient a few ULP short of k.
+        q = math.log10(run.flops) / bin_width_log10
+        k = round(q)
+        bucket = k if abs(q - k) <= 4 * math.ulp(q) else math.floor(q)
         n_nv = run.n_nv()
         n_v = run.n_v
         key = (run.normalized_loss, n_nv, n_v, run.run_id)

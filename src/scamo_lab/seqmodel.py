@@ -15,6 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import _integer_counts
+from .flops import _check_int
+
 __all__ = [
     "PrefixMask",
     "build_prefix_mask",
@@ -43,9 +46,8 @@ def build_prefix_mask(t_text: int, t_motion: int) -> PrefixMask:
         motion-> text   all True
         motion-> motion causal, j <= i
     """
-    for name, value in (("t_text", t_text), ("t_motion", t_motion)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    _check_int("t_text", t_text, minimum=0)
+    _check_int("t_motion", t_motion, minimum=0)
     total = t_text + t_motion
     if total == 0:
         raise ValueError("empty sequence: t_text + t_motion must be positive")
@@ -98,17 +100,6 @@ def unigram_baseline(token_counts: Sequence[int], smoothing_lambda: float) -> np
     """
     if not (math.isfinite(smoothing_lambda) and smoothing_lambda > 0):
         raise ValueError(f"smoothing_lambda must be positive, got {smoothing_lambda!r}")
-    counts = np.asarray(token_counts)
-    if counts.ndim != 1 or counts.size == 0:
-        raise ValueError("token_counts must be a non-empty 1-D sequence")
-    if not np.issubdtype(counts.dtype, np.integer):
-        as_float = np.asarray(counts, dtype=np.float64)
-        as_int = as_float.astype(np.int64)
-        if not np.array_equal(as_int, as_float):
-            raise ValueError("token_counts must be integers")
-        counts = as_int
-    if (counts < 0).any():
-        raise ValueError("token_counts must be non-negative")
-    counts = counts.astype(np.float64)
+    counts = _integer_counts("token_counts", token_counts).astype(np.float64)
     denom = counts.sum() + smoothing_lambda * counts.size
     return np.log((counts + smoothing_lambda) / denom)

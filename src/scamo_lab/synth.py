@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logit
 
 from .core import RunRecord
-from .fsq import FsqLevels
+from .flops import _check_int
+from .fsq import FsqLevels, _logit
 from .scaling import ScalingFits
 
 __all__ = [
@@ -42,8 +42,7 @@ class CGridSpec:
             raise ValueError("grid bounds must be finite")
         if self.max_log10 < self.min_log10:
             raise ValueError("max_log10 must be >= min_log10")
-        if not isinstance(self.n_points, int) or self.n_points < 1:
-            raise ValueError("n_points must be a positive integer")
+        _check_int("n_points", self.n_points)
         if self.n_points > 1 and self.max_log10 == self.min_log10:
             raise ValueError("grid with several points needs max_log10 > min_log10")
 
@@ -64,12 +63,10 @@ class SynthSpec:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if not isinstance(self.runs_per_budget, int) or self.runs_per_budget < 1:
-            raise ValueError("runs_per_budget must be a positive integer")
+        _check_int("runs_per_budget", self.runs_per_budget)
         if not (math.isfinite(self.noise_sigma_log10) and self.noise_sigma_log10 >= 0):
             raise ValueError("noise_sigma_log10 must be non-negative and finite")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError("seed must be an integer")
+        _check_int("seed", self.seed, minimum=None)
 
 
 def config_for_params(n_nv_target: float, rel_tol: float = 0.2) -> tuple[int, int, int]:
@@ -160,7 +157,7 @@ def _uniform_code_latents(
         lo = np.where(code0 == 0, 0.0, (code0 - 0.5) * span)
         hi = np.where(code0 == level - 1, 1.0, (code0 + 0.5) * span)
         v = np.clip(lo + frac * (hi - lo), eps, 1.0 - eps)
-        out[:, i] = logit(v)
+        out[:, i] = _logit(v)
     return out
 
 
@@ -183,10 +180,8 @@ def synth_latents(
     means defaults to seeded uniform draws in [-2, 2]**dim, or pass explicit
     means with shape (n_components, dim).
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(dim, int) or dim < 1:
-        raise ValueError(f"dim must be a positive integer, got {dim!r}")
+    _check_int("n", n)
+    _check_int("dim", dim)
     rng = np.random.default_rng(seed)
     if kind == "uniform_code":
         if levels is None:
@@ -197,8 +192,7 @@ def synth_latents(
         return _uniform_code_latents(n, lv, rng, eps)
     if kind == "gaussian_mixture":
         if means is None:
-            if not isinstance(n_components, int) or n_components < 1:
-                raise ValueError(f"n_components must be a positive integer, got {n_components!r}")
+            _check_int("n_components", n_components)
             means = rng.uniform(-2.0, 2.0, size=(n_components, dim))
         else:
             means = np.asarray(means, dtype=np.float64)

@@ -14,6 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .flops import _check_int
+
 __all__ = [
     "VqCodebook",
     "VqTrainParams",
@@ -88,8 +90,7 @@ class VqTrainParams:
             raise ValueError(f"ema_decay must lie in (0, 1), got {self.ema_decay!r}")
         if not (math.isfinite(self.reset_threshold) and self.reset_threshold >= 0):
             raise ValueError(f"reset_threshold must be non-negative, got {self.reset_threshold!r}")
-        if not isinstance(self.rng_seed, int) or isinstance(self.rng_seed, bool):
-            raise ValueError(f"rng_seed must be an integer, got {self.rng_seed!r}")
+        _check_int("rng_seed", self.rng_seed, minimum=None)
 
 
 class VqAssignment(NamedTuple):

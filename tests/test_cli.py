@@ -250,6 +250,37 @@ def test_fit_needs_two_buckets(invoke, tmp_path):
     assert not out_path.exists()  # nothing written on failure
 
 
+PLAN_ARGV = ["plan", "--flops", "1e18", "--fits", "scamo-paper", "--d-model", "3200"]
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (PLAN_ARGV, "missing/x.json"),
+        (["frontier", "--csv", "ok.csv"], "missing/x.json"),
+        (["frontier", "--csv", "ok.csv"], "existing-dir"),
+    ],
+    ids=["plan-missing-dir", "frontier-missing-dir", "frontier-out-is-dir"],
+)
+def test_failed_write_is_one_error_line_and_no_file(invoke, tmp_path, monkeypatch, argv, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "existing-dir").mkdir()
+    code, stdout, err = invoke([*argv, "--out", out], stdin=RUN_LINE + "\n")
+    assert code == 1 and stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and out in err
+    assert [p.name for p in tmp_path.iterdir()] == ["existing-dir"]
+    assert list((tmp_path / "existing-dir").iterdir()) == []
+
+
+def test_flops_out_writes_its_output(invoke, tmp_path):
+    argv = ["flops", "--layers", "8", "--heads", "8", "--d-model", "512", "--ctx", "1024",
+            "--vocab", "65536"]
+    _, stdout, _ = invoke(argv)
+    code, out, _ = invoke([*argv, "--out", str(tmp_path / "f.json")])
+    assert code == 0 and out == ""
+    assert (tmp_path / "f.json").read_text() == stdout
+
+
 def test_plan_preset_reference(invoke):
     code, out, _ = invoke(
         ["plan", "--flops", "1e18", "--fits", "scamo-paper", "--d-model", "3200"]

@@ -1,8 +1,10 @@
 """Finite scalar quantizer: rounding, codec, surrogate gradient."""
 
+import warnings
+
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, logit
 
 from scamo_lab import (
     LEVEL_PRESETS,
@@ -15,6 +17,7 @@ from scamo_lab import (
     fsq_ste_forward,
     latent_for_code,
 )
+from scamo_lab.fsq import _logit, _round_half_away, _sigmoid
 
 PRESET_SIZES = {
     "2^4": 15,
@@ -164,7 +167,7 @@ def test_ste_forward_matches_parts():
     z = rng.normal(scale=2.0, size=(40, 4))
     out = fsq_ste_forward(z, lv)
     assert np.array_equal(out.value, fsq_dequantize(fsq_quantize(z, lv), lv))
-    s = expit(z)
+    s = _sigmoid(z)  # test_sigmoid_and_logit_match_scipy ties this to scipy's expit
     assert np.array_equal(out.surrogate_jacobian_diag, s * (1 - s))
 
 
@@ -180,3 +183,66 @@ def test_ste_jacobian_finite_differences():
 def test_list_input_accepted():
     assert fsq_quantize([0.0, 0.0], (5, 5)).tolist() == [3, 3]
     assert fsq_encode_index([[1, 1]], (5, 5)).tolist() == [0]
+
+
+def _ulps(a, b):
+    """Distance in units of the last place between float64 arrays."""
+    def ordered(x):
+        i = np.asarray(x, dtype=np.float64).view(np.int64)
+        return np.where(i < 0, np.iinfo(np.int64).min - i, i)
+
+    return np.abs(ordered(a) - ordered(b))
+
+
+def _scipy_codes(z, levels):
+    spans = np.asarray(levels, dtype=np.float64) - 1.0
+    return (1 + _round_half_away(expit(z) * spans)).astype(np.int64)
+
+
+def test_sigmoid_and_logit_match_scipy():
+    rng = np.random.default_rng(11)
+    z = np.concatenate(
+        [rng.normal(scale=4.0, size=1_000_000), rng.uniform(-800.0, 800.0, size=1_000_000)]
+    )
+    assert _ulps(_sigmoid(z), expit(z)).max() <= 4
+    v = np.concatenate(
+        [
+            rng.uniform(0.0, 1.0, size=1_000_000),
+            rng.uniform(0.29, 0.31, size=100_000),  # both ends of the log1p branch
+            rng.uniform(0.64, 0.66, size=100_000),
+            rng.uniform(0.0, 1e-6, size=50_000),
+            1.0 - rng.uniform(0.0, 1e-6, size=50_000),
+        ]
+    )
+    assert _ulps(_logit(v), logit(v)).max() <= 2
+
+
+def test_sigmoid_saturates_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _sigmoid(np.array([-1e300, 1e300])).tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("preset", ["2^10", "2^16"])
+def test_codes_match_scipy_sigmoid(preset):
+    lv = LEVEL_PRESETS[preset]
+    z = np.random.default_rng(12).normal(scale=2.0, size=(1_000_000, lv.dimension))
+    assert np.array_equal(fsq_quantize(z, lv), _scipy_codes(z, lv.levels))
+
+
+def test_codes_near_rounding_boundaries_differ_only_by_one():
+    """Latents within 64 ULP of every rounding boundary for level counts 2..8.
+
+    numpy's exp may differ from scipy's in the last bits, so a latent that sits
+    on a boundary can round to the neighbouring code; it can never skip one.
+    """
+    for level in range(2, 9):
+        centers = logit((np.arange(level - 1) + 0.5) / (level - 1))
+        steps = [centers]
+        up = down = centers
+        for _ in range(64):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            steps += [up, down]
+        z = np.concatenate(steps)[:, None]
+        diff = np.abs(fsq_quantize(z, (level,)) - _scipy_codes(z, (level,)))
+        assert diff.max() <= 1

@@ -1,4 +1,9 @@
-"""The package root re-exports every submodule's public names."""
+"""Package-wide contracts: the exported names, a numpy-only import, one integer rule."""
+
+import subprocess
+import sys
+
+import pytest
 
 import scamo_lab
 
@@ -36,3 +41,42 @@ def test_exported_names_are_pinned_and_resolve():
     assert set(scamo_lab.__all__) == EXPORTS
     for name in scamo_lab.__all__:
         assert getattr(scamo_lab, name) is not None
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, scamo_lab; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+SHAPE = dict(n_layers=2, n_heads=2, d_model=8, n_ctx=16)
+PAPER_FITS = scamo_lab.FITS_PRESETS["scamo-paper"]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: scamo_lab.ModelConfig(**{**SHAPE, "n_vocab": 32, "ff_ratio": True}),
+        lambda: scamo_lab.RunRecord("r", **SHAPE, vocab_size=32, tokens_trained=True,
+                                    flops=None, normalized_loss=0.0),
+        lambda: scamo_lab.FsqLevels((8, True)),
+        lambda: scamo_lab.ReferenceSelection(n_nv=3e9, vocab_size=True, d_tokens=1e7),
+        lambda: scamo_lab.nearest_power_of_two(True),
+        lambda: scamo_lab.plan_budget(1e18, PAPER_FITS, True),
+        lambda: scamo_lab.vocab_for_model(3e9, PAPER_FITS.nv_vs_nnv, True),
+        lambda: scamo_lab.build_prefix_mask(4, True),
+        lambda: scamo_lab.CGridSpec(14.0, 15.0, True),
+        lambda: scamo_lab.SynthSpec(PAPER_FITS, scamo_lab.CGridSpec(14.0, 15.0, 2),
+                                    runs_per_budget=True),
+        lambda: scamo_lab.SynthSpec(PAPER_FITS, scamo_lab.CGridSpec(14.0, 15.0, 2), seed=True),
+        lambda: scamo_lab.synth_latents("gaussian_mixture", True, 2),
+        lambda: scamo_lab.synth_latents("gaussian_mixture", 10, True),
+        lambda: scamo_lab.synth_latents("gaussian_mixture", 10, 2, n_components=True),
+        lambda: scamo_lab.VqTrainParams(rng_seed=True),
+    ],
+    ids=["ff_ratio", "tokens_trained", "level", "vocab_size", "nearest_power_of_two",
+         "plan_budget", "vocab_for_model", "t_motion", "n_points", "runs_per_budget", "seed",
+         "n", "dim", "n_components", "rng_seed"],
+)
+def test_true_is_not_an_integer(build):
+    with pytest.raises(ValueError, match="integer.*, got True$"):
+        build()

@@ -54,6 +54,16 @@ def test_frontier_bucket_edges():
     assert len(wide) == 1 and wide[0].run.run_id == "lo"
 
 
+@pytest.mark.parametrize("bin_width", [0.1, 0.25, 0.3])
+def test_frontier_run_on_an_edge_opens_its_bucket(bin_width):
+    # log10(10**(k*w)) / w falls a ULP short of k for some k (k = 3, 43, ... at w 0.1)
+    ks = range(1, 400)
+    runs = [run_at(f"k{k}", 10.0 ** (k * bin_width), 0.0) for k in ks]
+    frontier = pareto_frontier(runs, bin_width_log10=bin_width)
+    assert [p.run.run_id for p in frontier] == [f"k{k}" for k in ks]
+    assert [p.flops_bucket_log10 for p in frontier] == [k * bin_width for k in ks]
+
+
 def test_frontier_tie_breaks():
     small = run_at("z-small", 1e15, 0.5, d_model=4)
     large = run_at("a-large", 1e15, 0.5, d_model=8)
