@@ -37,7 +37,7 @@ from .planner import FITS_PRESETS, REFERENCE_PRESETS, consistency_report, plan_b
 from .scaling import ScalingFits, fit_all, pareto_frontier
 from .seqmodel import TokenProbRecord, ce_loss, normalized_loss
 from .synth import CGridSpec, SynthSpec, synth_runs
-from .vq import VqCodebook, vq_quantize
+from .vq import VqCodebook, vq_assign
 
 __all__ = ["run", "main", "dumps", "dumps_line"]
 
@@ -197,7 +197,7 @@ def _cmd_vq(args) -> str:
             f"latent dim {latents.shape[1]} does not match codebook dim {entries.shape[1]}"
         )
     codebook = VqCodebook.fresh(entries)
-    indices = [vq_quantize(z, codebook).index for z in latents]
+    indices = vq_assign(latents, codebook)
     hist = CodeUsageHistogram(np.bincount(indices, minlength=codebook.size))
     metrics = codebook_metrics(hist)._asdict()
     return dumps({"counts": hist.counts, "total": hist.total, **metrics}) + "\n"

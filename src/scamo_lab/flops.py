@@ -110,8 +110,8 @@ def params_non_embedding(cfg: ModelConfig) -> int:
 
 def params_vocab(vocab_size: int, d_model: int) -> int:
     """Vocabulary parameter count N_v = vocab_size * d_model."""
-    if vocab_size < 1 or d_model < 1:
-        raise ValueError("vocab_size and d_model must be positive")
+    _check_int("vocab_size", vocab_size)
+    _check_int("d_model", d_model)
     return vocab_size * d_model
 
 

@@ -182,6 +182,7 @@ def synth_latents(
     """
     _check_int("n", n)
     _check_int("dim", dim)
+    _check_int("seed", seed, minimum=None)
     rng = np.random.default_rng(seed)
     if kind == "uniform_code":
         if levels is None:

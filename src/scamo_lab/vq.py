@@ -21,6 +21,7 @@ __all__ = [
     "VqTrainParams",
     "VqAssignment",
     "VqResetResult",
+    "vq_assign",
     "vq_quantize",
     "commitment_loss",
     "vq_ema_update",
@@ -28,6 +29,7 @@ __all__ = [
 ]
 
 _EMA_EPS = 1e-8
+_BLOCK_ROWS = 256  # a (256, K=1024) float64 shortlist block is 2 MB
 
 
 @dataclass
@@ -116,11 +118,40 @@ def _check_batch(batch, dim: int) -> np.ndarray:
     return batch
 
 
+@np.errstate(over="ignore", invalid="ignore")  # rows that may overflow take the exact scan
+def vq_assign(batch, codebook: VqCodebook) -> np.ndarray:
+    """Nearest entry for each row of an (n, d) batch; ties pick the lowest index.
+
+    Exact: BLAS only shortlists, ((z - e) ** 2).sum() decides; _BLOCK_ROWS rows at a time.
+    """
+    batch = _check_batch(batch, codebook.dim)
+    entries, size = codebook.entries, codebook.size
+    e2, neg2_et = np.einsum("kd,kd->k", entries, entries), -2.0 * entries.T
+    out = np.empty(len(batch), dtype=np.int64)
+    buffer = np.empty((min(len(batch), _BLOCK_ROWS), size))
+    for lo in range(0, len(batch), _BLOCK_ROWS):
+        z = batch[lo:lo + _BLOCK_ROWS]
+        bound = np.einsum("nd,nd->n", z, z) + e2.max()
+        short = np.matmul(z, neg2_et, out=buffer[:len(z)])
+        short += e2  # |e|^2 - 2 z.e: the distance less the row constant |z|^2
+        # Rounding moves short and the exact sum together by <= 4 (d + 2) u (|z|^2 + |e|^2) plus
+        # 2 d subnormals (u = eps / 2), so the winner is within twice that of min(short); margin 4x.
+        margin = 16 * (codebook.dim + 2) * np.spacing(bound)
+        limit = np.where(np.isfinite(4 * bound), short.min(axis=1) + margin, np.nan)  # NaN: scan
+        rows, cols = np.divmod(np.flatnonzero(short <= limit[:, None]), size)
+        d2 = ((z[rows] - entries[cols]) ** 2).sum(axis=1)
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        first = np.where(d2 == np.minimum.reduceat(d2, starts)[rows], cols, size)
+        out[lo + rows[starts]] = np.minimum.reduceat(first, starts)
+        for r in np.flatnonzero(np.isnan(limit)):
+            out[lo + r] = np.argmin(((entries - z[r]) ** 2).sum(axis=1))
+    return out
+
+
 def vq_quantize(z, codebook: VqCodebook) -> VqAssignment:
-    """Nearest entry by squared Euclidean distance; ties pick the lowest index."""
+    """vq_assign for one latent: its nearest entry, the lowest index on ties."""
     z = _check_vector(z, codebook.dim)
-    d2 = ((codebook.entries - z) ** 2).sum(axis=1)
-    index = int(np.argmin(d2))  # argmin returns the first minimum
+    index = int(vq_assign(z[None, :], codebook)[0])
     return VqAssignment(index=index, entry=codebook.entries[index].copy())
 
 
@@ -148,9 +179,7 @@ def vq_ema_update(batch, codebook: VqCodebook, params: VqTrainParams) -> VqCodeb
     not mutated.
     """
     batch = _check_batch(batch, codebook.dim)
-    indices = np.fromiter(
-        (vq_quantize(z, codebook).index for z in batch), dtype=np.int64, count=len(batch)
-    )
+    indices = vq_assign(batch, codebook)
     n = np.bincount(indices, minlength=codebook.size).astype(np.float64)
     s = np.zeros_like(codebook.ema_sums)
     np.add.at(s, indices, batch)

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from scamo_lab import FITS_PRESETS, ScalingFits, load_runs
@@ -146,6 +147,24 @@ def test_vq_subcommand(invoke, tmp_path):
     entropy = -(third * math.log(third) + 2 * third * math.log(2 * third))
     assert doc["shannon_entropy_nats"] == pytest.approx(entropy, rel=1e-12)
     assert doc["exp_entropy"] == pytest.approx(math.exp(entropy), rel=1e-12)
+
+
+def test_vq_lattice_ties_go_to_the_lowest_index(invoke, tmp_path):
+    # {0, 1/2, 1}^6 rows against distinct {0, 1}^6 corners: most rows are
+    # exactly equidistant from several entries
+    rng = np.random.default_rng(11)
+    corners = rng.choice(64, size=24, replace=False)
+    entries = ((corners[:, None] >> np.arange(6)) & 1).astype(np.float64)
+    rows = rng.choice([0.0, 0.5, 1.0], size=(300, 6))
+    latents, codebook = tmp_path / "latents.csv", tmp_path / "codebook.csv"
+    np.savetxt(latents, rows, delimiter=",")
+    np.savetxt(codebook, entries, delimiter=",")
+    code, out, _ = invoke(["vq", "--latents", str(latents), "--codebook", str(codebook)])
+    assert code == 0
+    d2 = ((rows[:, None, :] - entries[None, :, :]) ** 2).sum(axis=2)
+    lowest = [int(np.flatnonzero(r == r.min())[0]) for r in d2]
+    assert sum((r == r.min()).sum() > 1 for r in d2) > 100  # ties are common
+    assert json.loads(out)["counts"] == np.bincount(lowest, minlength=24).tolist()
 
 
 def test_vq_dimension_mismatch(invoke, tmp_path):

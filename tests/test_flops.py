@@ -102,6 +102,13 @@ def test_params_vocab():
         params_vocab(65536, 0)
 
 
+def test_params_vocab_takes_only_integers():
+    with pytest.raises(ValueError, match="^vocab_size must be a positive integer, got 2.5$"):
+        params_vocab(2.5, 8)
+    with pytest.raises(ValueError, match="^d_model must be a positive integer, got 8.0$"):
+        params_vocab(8, 8.0)
+
+
 def test_flops_approx_value():
     assert flops_approx(1e9, 2e8, 1e7) == 6.0 * 1.2e9 * 1e7
     assert flops_approx(1.0, 0.0, 1.0) == 6.0

@@ -32,7 +32,7 @@ EXPORTS = {
     "CGridSpec", "SynthSpec", "config_for_params", "synth_runs", "synth_latents",
     # vq
     "VqAssignment", "VqCodebook", "VqResetResult", "VqTrainParams", "commitment_loss",
-    "vq_ema_update", "vq_quantize", "vq_reset",
+    "vq_assign", "vq_ema_update", "vq_quantize", "vq_reset",
 }
 
 
@@ -72,10 +72,12 @@ PAPER_FITS = scamo_lab.FITS_PRESETS["scamo-paper"]
         lambda: scamo_lab.synth_latents("gaussian_mixture", 10, True),
         lambda: scamo_lab.synth_latents("gaussian_mixture", 10, 2, n_components=True),
         lambda: scamo_lab.VqTrainParams(rng_seed=True),
+        lambda: scamo_lab.params_vocab(True, 8),
+        lambda: scamo_lab.params_vocab(8, True),
     ],
     ids=["ff_ratio", "tokens_trained", "level", "vocab_size", "nearest_power_of_two",
          "plan_budget", "vocab_for_model", "t_motion", "n_points", "runs_per_budget", "seed",
-         "n", "dim", "n_components", "rng_seed"],
+         "n", "dim", "n_components", "rng_seed", "params_vocab_size", "params_vocab_d_model"],
 )
 def test_true_is_not_an_integer(build):
     with pytest.raises(ValueError, match="integer.*, got True$"):

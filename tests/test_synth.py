@@ -186,6 +186,12 @@ def test_synth_latents_deterministic():
     assert np.array_equal(c, d)
 
 
+@pytest.mark.parametrize("seed", [True, None, 1.0])
+def test_synth_latents_seed_must_be_an_integer(seed):
+    with pytest.raises(ValueError, match="^seed must be an integer, got "):
+        synth_latents("gaussian_mixture", 10, 2, seed=seed)
+
+
 def test_gaussian_mixture_single_component_clt():
     z = synth_latents("gaussian_mixture", 200000, 2, means=[[0.0, 0.0]], seed=5)
     assert np.abs(z.mean(axis=0)).max() < 0.01

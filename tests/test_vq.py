@@ -1,12 +1,17 @@
 """Vector quantizer: nearest-neighbor assignment, EMA training, resets."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scamo_lab import (
     VqCodebook,
     VqTrainParams,
     commitment_loss,
+    vq_assign,
     vq_ema_update,
     vq_quantize,
     vq_reset,
@@ -187,3 +192,94 @@ def test_batch_shape_checks():
         vq_ema_update(np.zeros((0, 2)), cb, VqTrainParams())
     with pytest.raises(ValueError, match="batch"):
         vq_reset(cb, np.zeros(2), VqTrainParams())
+
+
+# ---------------------------------------------------------------------------
+# batched assignment against the exhaustive first-minimum scan
+
+
+def scan(batch, entries):
+    """Exact squared distance to every entry; the first index of the minimum."""
+    out = []
+    for z in batch:
+        d2 = ((entries - z) ** 2).sum(axis=1)
+        out.append(int(np.flatnonzero(d2 == d2.min())[0]))
+    return np.array(out, dtype=np.int64)
+
+
+def check_against_scan(batch, entries):
+    got = vq_assign(batch, fresh(entries))
+    assert got.dtype == np.int64 and got.shape == (len(batch),)
+    assert np.array_equal(got, scan(batch, entries))
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+SCALES = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)  # 1e-3 .. 1e3
+ROWS = st.integers(1, 600)  # past two blocks of rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 300), d=st.integers(1, 12), n=ROWS, scale=SCALES,
+       duplicates=st.booleans(), seed=SEEDS)
+def test_assign_random(k, d, n, scale, duplicates, seed):
+    rng = np.random.default_rng(seed)
+    entries = rng.normal(size=(k, d)) * scale
+    if duplicates:  # exact duplicates give bit-identical distances
+        entries[rng.integers(0, k, size=k // 2 + 1)] = entries[rng.integers(0, k)]
+    check_against_scan(rng.normal(size=(n, d)) * scale, entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 10), n=ROWS, scale=SCALES, data=st.data(), seed=SEEDS)
+def test_assign_lattice_ties(d, n, scale, data, seed):
+    # {0, 1/2, 1}^d points sit exactly halfway between {0, 1}^d corners on
+    # every half coordinate, so most rows tie between several entries
+    rng = np.random.default_rng(seed)
+    k = data.draw(st.integers(1, 2**d))
+    corners = rng.choice(2**d, size=k, replace=False)
+    entries = ((corners[:, None] >> np.arange(d)) & 1).astype(np.float64)
+    batch = rng.choice([0.0, 0.5, 1.0], size=(n, d))
+    check_against_scan(batch * scale, entries * scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(2, 200), d=st.integers(1, 12), n=ROWS, scale=SCALES, seed=SEEDS)
+def test_assign_near_equidistant_midpoints(k, d, n, scale, seed):
+    rng = np.random.default_rng(seed)
+    entries = rng.normal(size=(k, d)) * scale
+    i, j = rng.integers(0, k, size=(2, n))
+    mid = (entries[i] + entries[j]) / 2
+    rel = 10.0 ** rng.uniform(-17, -12, size=(n, 1))  # down to below one ulp
+    batch = mid * (1.0 + rel * rng.uniform(-1.0, 1.0, size=(n, d)))
+    check_against_scan(batch, entries)
+
+
+def test_assign_matches_per_row_quantize():
+    rng = np.random.default_rng(7)
+    entries = rng.normal(size=(64, 3))
+    entries[40] = entries[3]
+    batch = np.concatenate([rng.normal(size=(500, 3)), entries[[3, 40, 0]]])
+    per_row = [vq_quantize(z, fresh(entries)).index for z in batch]
+    assert vq_assign(batch, fresh(entries)).tolist() == per_row
+
+
+def test_assign_overflowing_norms_take_the_exact_scan():
+    # |z|^2 and |e|^2 overflow to inf, so |e|^2 - 2 z.e would shortlist
+    # index 0; the exact distance to entry 1 is 0
+    entries = np.array([[1e160], [1e160 + 1e146]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert vq_assign(entries[1:], fresh(entries)).tolist() == [1]
+        assert vq_quantize(entries[1], fresh(entries)).index == 1
+
+
+def test_assign_memory_does_not_grow_with_rows():
+    rng = np.random.default_rng(3)
+    entries, batch = rng.normal(size=(512, 4)), rng.normal(size=(8192, 4))
+    tracemalloc.start()
+    try:
+        vq_assign(batch, fresh(entries))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8192 * 512 * 8 / 8  # an eighth of the 32 MB an (n, K) matrix would take
