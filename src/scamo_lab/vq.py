@@ -118,17 +118,18 @@ def _check_batch(batch, dim: int) -> np.ndarray:
     return batch
 
 
-@np.errstate(over="ignore", invalid="ignore")  # rows that may overflow take the exact scan
+@np.errstate(over="ignore", invalid="ignore")  # rows whose norms overflow keep every entry
 def vq_assign(batch, codebook: VqCodebook) -> np.ndarray:
     """Nearest entry for each row of an (n, d) batch; ties pick the lowest index.
 
     Exact: BLAS only shortlists, ((z - e) ** 2).sum() decides; _BLOCK_ROWS rows at a time.
     """
     batch = _check_batch(batch, codebook.dim)
-    entries, size = codebook.entries, codebook.size
+    entries, size, dim = codebook.entries, codebook.size, codebook.dim
     e2, neg2_et = np.einsum("kd,kd->k", entries, entries), -2.0 * entries.T
     out = np.empty(len(batch), dtype=np.int64)
     buffer = np.empty((min(len(batch), _BLOCK_ROWS), size))
+    step = max(1, _BLOCK_ROWS * size // dim)  # (step, d) re-check temporaries match the buffer
     for lo in range(0, len(batch), _BLOCK_ROWS):
         z = batch[lo:lo + _BLOCK_ROWS]
         bound = np.einsum("nd,nd->n", z, z) + e2.max()
@@ -136,15 +137,14 @@ def vq_assign(batch, codebook: VqCodebook) -> np.ndarray:
         short += e2  # |e|^2 - 2 z.e: the distance less the row constant |z|^2
         # Rounding moves short and the exact sum together by <= 4 (d + 2) u (|z|^2 + |e|^2) plus
         # 2 d subnormals (u = eps / 2), so the winner is within twice that of min(short); margin 4x.
-        margin = 16 * (codebook.dim + 2) * np.spacing(bound)
-        limit = np.where(np.isfinite(4 * bound), short.min(axis=1) + margin, np.nan)  # NaN: scan
-        rows, cols = np.divmod(np.flatnonzero(short <= limit[:, None]), size)
-        d2 = ((z[rows] - entries[cols]) ** 2).sum(axis=1)
+        margin = 16 * (dim + 2) * np.spacing(bound)
+        limit = np.where(np.isfinite(4 * bound), short.min(axis=1) + margin, np.inf)
+        rows, cols = np.divmod(np.flatnonzero(~(short > limit[:, None])), size)  # NaN stays in
+        d2 = np.concatenate([((z[rows[s:s + step]] - entries[cols[s:s + step]]) ** 2).sum(axis=1)
+                             for s in range(0, len(rows), step)])
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
         first = np.where(d2 == np.minimum.reduceat(d2, starts)[rows], cols, size)
         out[lo + rows[starts]] = np.minimum.reduceat(first, starts)
-        for r in np.flatnonzero(np.isnan(limit)):
-            out[lo + r] = np.argmin(((entries - z[r]) ** 2).sum(axis=1))
     return out
 
 

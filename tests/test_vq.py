@@ -283,3 +283,17 @@ def test_assign_memory_does_not_grow_with_rows():
     finally:
         tracemalloc.stop()
     assert peak < 8192 * 512 * 8 / 8  # an eighth of the 32 MB an (n, K) matrix would take
+
+
+def test_assign_memory_is_bounded_when_every_entry_ties():
+    # an all-zero codebook puts all K entries of every row in the re-check;
+    # gathering those 256 * K pairs at once would take 67 MB per (pairs, d) array
+    entries, batch = np.zeros((512, 64)), np.random.default_rng(4).normal(size=(8192, 64))
+    tracemalloc.start()
+    try:
+        got = vq_assign(batch, fresh(entries))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not got.any()
+    assert peak < 12 * 256 * 512 * 8  # a dozen (256, K) shortlist blocks, whatever d is
