@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -139,7 +140,9 @@ def _resolve_fits(spec: str) -> ScalingFits:
 
 def _load_csv_matrix(path: str, name: str) -> np.ndarray:
     try:
-        matrix = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data: reported as empty below
+            matrix = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
     except (OSError, ValueError) as exc:
         raise ValueError(f"could not read {name} CSV {path!r}: {exc}")
     if matrix.size == 0:

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass, field
 from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
-from .flops import ModelConfig, _check_int, flops_approx, params_non_embedding, params_vocab
+from .flops import ModelConfig, _check_int, _check_real, flops_approx, params_non_embedding
 
 __all__ = [
     "MODEL_SHAPE_PRESETS",
@@ -47,6 +46,7 @@ class RunRecord:
     normalized_loss is a per-token loss in nats measured against a baseline,
     so negative values are legal (the model beats the baseline). The five
     shape fields are checked once, by the ModelConfig that config() returns.
+    A flops of None is filled at construction from 6 * (N_nv + N_v) * D.
     """
 
     run_id: str
@@ -66,31 +66,25 @@ class RunRecord:
         config = ModelConfig(self.n_layers, self.n_heads, self.d_model, self.n_ctx, self.vocab_size)
         object.__setattr__(self, "_config", config)
         _check_int("tokens_trained", self.tokens_trained)
-        if self.flops is not None and not (math.isfinite(self.flops) and self.flops > 0):
-            raise ValueError(f"flops must be positive and finite, got {self.flops!r}")
-        if not math.isfinite(self.normalized_loss):
-            raise ValueError(f"normalized_loss must be finite, got {self.normalized_loss!r}")
+        n_nv, n_v = self.n_nv(), self.n_v
         try:
-            float(self.n_nv() + self.n_v), float(self.tokens_trained)
+            float(n_nv + n_v), float(self.tokens_trained)
         except OverflowError:
             raise ValueError("n_nv + n_v and tokens_trained must fit in a float") from None
+        if self.flops is None:
+            object.__setattr__(self, "flops", flops_approx(n_nv, n_v, self.tokens_trained))
+        _check_real("flops", self.flops, "positive")
+        _check_real("normalized_loss", self.normalized_loss)
 
     def config(self) -> ModelConfig:
         return self._config
 
     @property
     def n_v(self) -> int:
-        return params_vocab(self.vocab_size, self.d_model)
+        return self.vocab_size * self.d_model
 
     def n_nv(self) -> int:
         return params_non_embedding(self._config)
-
-    def with_flops_filled(self) -> "RunRecord":
-        """Return self, or a copy with flops = 6 * (N_nv + N_v) * D when absent."""
-        if self.flops is not None:
-            return self
-        filled = flops_approx(self.n_nv(), self.n_v, self.tokens_trained)
-        return dataclasses.replace(self, flops=filled)
 
     def to_dict(self) -> dict:
         """Field dict in schema order, for JSONL emission."""
@@ -160,7 +154,7 @@ def load_runs(source: IO[str] | IO[bytes] | Iterable[str] | Iterable[bytes] | st
         if not line:
             continue
         try:
-            record = _record_from_json(json.loads(line)).with_flops_filled()
+            record = _record_from_json(json.loads(line))
         except (ValueError, TypeError) as exc:
             msg = str(exc) or exc.__class__.__name__
             errors.append((lineno, msg))

@@ -31,6 +31,15 @@ def _check_int(name: str, value: object, minimum: int | None = 1) -> None:
         raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
+def _check_real(name: str, value: float, kind: str = "finite") -> None:
+    """The package's one real-number rule: finite, and also positive or non-negative by kind."""
+    if math.isfinite(value):
+        if kind == "finite" or value > 0 or (value == 0 and kind == "non-negative"):
+            return
+    rule = "finite" if kind == "finite" else f"{kind} and finite"
+    raise ValueError(f"{name} must be {rule}, got {float(value)!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class ModelConfig:
     """Decoder-only transformer shape.
@@ -117,10 +126,7 @@ def params_vocab(vocab_size: int, d_model: int) -> int:
 
 def flops_approx(n_nv: float, n_v: float, d_tokens: float) -> float:
     """Training-compute approximation C = 6 * (n_nv + n_v) * d_tokens."""
-    if not (math.isfinite(n_nv) and n_nv > 0):
-        raise ValueError(f"n_nv must be positive and finite, got {n_nv!r}")
-    if not (math.isfinite(n_v) and n_v >= 0):
-        raise ValueError(f"n_v must be non-negative and finite, got {n_v!r}")
-    if not (math.isfinite(d_tokens) and d_tokens > 0):
-        raise ValueError(f"d_tokens must be positive and finite, got {d_tokens!r}")
+    _check_real("n_nv", n_nv, "positive")
+    _check_real("n_v", n_v, "non-negative")
+    _check_real("d_tokens", d_tokens, "positive")
     return 6.0 * (n_nv + n_v) * float(d_tokens)

@@ -12,7 +12,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
-from .flops import _check_int
+from .flops import _check_int, _check_real
 from .scaling import LogLawFit, PowerLawFit, ScalingFits
 
 __all__ = [
@@ -40,11 +40,9 @@ class ReferenceSelection:
     d_tokens: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.n_nv) and self.n_nv > 0):
-            raise ValueError("n_nv must be positive and finite")
+        _check_real("n_nv", self.n_nv, "positive")
         _check_int("vocab_size", self.vocab_size)
-        if not (math.isfinite(self.d_tokens) and self.d_tokens > 0):
-            raise ValueError("d_tokens must be positive and finite")
+        _check_real("d_tokens", self.d_tokens, "positive")
 
 
 # Shipped coefficient preset. r2 is only known for the vocab-vs-params law;
@@ -69,8 +67,7 @@ CONSISTENCY_TOLERANCE_LOG10 = 0.35
 
 def flops_for_loss(target_loss: float, law: LogLawFit) -> float:
     """Invert the log law: the budget at which it predicts target_loss."""
-    if not math.isfinite(target_loss):
-        raise ValueError(f"target_loss must be finite, got {target_loss!r}")
+    _check_real("target_loss", target_loss)
     if law.slope == 0.0:
         raise ValueError("log law with zero slope cannot be inverted")
     return 10.0 ** ((target_loss - law.intercept) / law.slope)
@@ -84,8 +81,10 @@ def nearest_power_of_two(n: int) -> int:
     return 1 << (k + 1) if n * n >= 1 << (2 * k + 1) else 1 << k
 
 
-def _half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
+def _vocab_size(n_v: float, d_model: int) -> int:
+    """round(n_v / d_model), exact halves up, and at least 1."""
+    _check_real("n_v", n_v, "non-negative")
+    return max(1, int(math.floor(n_v / d_model + 0.5)))
 
 
 @dataclass(frozen=True)
@@ -119,8 +118,7 @@ def plan_budget(
     token count is divided by 10**residual, restoring the identity, and the
     reported residual becomes (numerically) zero.
     """
-    if not (math.isfinite(c_flops) and c_flops > 0):
-        raise ValueError(f"c_flops must be positive and finite, got {c_flops!r}")
+    _check_real("c_flops", c_flops, "positive")
     _check_int("d_model", d_model)
     n_v = fits.nv_vs_c.evaluate(c_flops)
     n_nv = fits.nnv_vs_c.evaluate(c_flops)
@@ -130,7 +128,7 @@ def plan_budget(
     if rescale_d:
         d_tokens /= 10.0**residual
         residual = math.log10(6.0 * (n_nv + n_v) * d_tokens / c_flops)
-    vocab = max(1, _half_up(n_v / d_model))
+    vocab = _vocab_size(n_v, d_model)
     return BudgetPlan(
         flops_budget=float(c_flops),
         n_nv=n_nv,
@@ -152,8 +150,7 @@ def consistency_report(
 
     vocab_size stands in for n_v; the d_model factor cancels in the gap.
     """
-    if not (math.isfinite(tolerance_log10) and tolerance_log10 > 0):
-        raise ValueError(f"tolerance_log10 must be positive, got {tolerance_log10!r}")
+    _check_real("tolerance_log10", tolerance_log10, "positive")
     gaps = {
         "n_nv": math.log10(plan.n_nv / reference.n_nv),
         "vocab_size": math.log10(plan.vocab_size / reference.vocab_size),
@@ -179,7 +176,7 @@ def vocab_for_model(n_nv: float, law: PowerLawFit, d_model: int) -> VocabForMode
     """Vocabulary recommended for a model with n_nv non-embedding params."""
     _check_int("d_model", d_model)
     n_v = law.evaluate(n_nv)
-    vocab = max(1, _half_up(n_v / d_model))
+    vocab = _vocab_size(n_v, d_model)
     return VocabForModel(n_v=n_v, vocab_size=vocab, vocab_pow2=nearest_power_of_two(vocab))
 
 

@@ -16,6 +16,7 @@ from typing import Sequence, get_type_hints
 import numpy as np
 
 from .core import RunRecord, _json_number
+from .flops import _check_real
 
 __all__ = [
     "PowerLawFit",
@@ -29,11 +30,6 @@ __all__ = [
 ]
 
 
-def _check_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class PowerLawFit:
     """y = 10**log10_coef * x**exponent, with the fit's r2 when known."""
@@ -43,15 +39,17 @@ class PowerLawFit:
     r2: float | None = None
 
     def __post_init__(self) -> None:
-        _check_finite("log10_coef", self.log10_coef)
-        _check_finite("exponent", self.exponent)
+        _check_real("log10_coef", self.log10_coef)
+        _check_real("exponent", self.exponent)
         if self.r2 is not None:
-            _check_finite("r2", self.r2)
+            _check_real("r2", self.r2)
 
     def evaluate(self, x: float) -> float:
-        if not (math.isfinite(x) and x > 0):
-            raise ValueError(f"x must be positive and finite, got {x!r}")
-        return 10.0**self.log10_coef * x**self.exponent
+        _check_real("x", x, "positive")
+        try:
+            return 10.0**self.log10_coef * x**self.exponent
+        except OverflowError:  # a Python float past range; numpy scalars give inf
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -63,14 +61,13 @@ class LogLawFit:
     r2: float | None = None
 
     def __post_init__(self) -> None:
-        _check_finite("slope", self.slope)
-        _check_finite("intercept", self.intercept)
+        _check_real("slope", self.slope)
+        _check_real("intercept", self.intercept)
         if self.r2 is not None:
-            _check_finite("r2", self.r2)
+            _check_real("r2", self.r2)
 
     def evaluate(self, c: float) -> float:
-        if not (math.isfinite(c) and c > 0):
-            raise ValueError(f"c must be positive and finite, got {c!r}")
+        _check_real("c", c, "positive")
         return self.slope * math.log10(c) + self.intercept
 
 
@@ -138,17 +135,13 @@ def pareto_frontier(
 
     Buckets are floor(log10(flops) / bin_width) * bin_width, and a run exactly
     on an edge k * bin_width falls in bucket k. Loss ties prefer smaller n_nv,
-    then smaller n_v, then the lexicographically smaller run_id. Every run
-    must have flops set.
+    then smaller n_v, then the lexicographically smaller run_id.
     """
-    if not (math.isfinite(bin_width_log10) and bin_width_log10 > 0):
-        raise ValueError(f"bin_width_log10 must be positive, got {bin_width_log10!r}")
+    _check_real("bin_width_log10", bin_width_log10, "positive")
     if len(runs) == 0:
         raise ValueError("no runs")
     best: dict[int, tuple[tuple, RunRecord, int, int]] = {}
     for run in runs:
-        if run.flops is None:
-            raise ValueError(f"run {run.run_id!r} has no flops value")
         # log10 and the division each round, so flops exactly on an edge
         # k * bin_width can give a quotient a few ULP short of k.
         q = math.log10(run.flops) / bin_width_log10
@@ -234,9 +227,6 @@ def fit_all(frontier: Sequence[FrontierPoint]) -> ScalingFits:
     """
     if len(frontier) < 2:
         raise ValueError("need at least 2 frontier points")
-    for point in frontier:
-        if point.run.flops is None:
-            raise ValueError(f"frontier run {point.run.run_id!r} has no flops value")
     flops = np.array([p.run.flops for p in frontier], dtype=np.float64)
     n_v = np.array([p.n_v for p in frontier], dtype=np.float64)
     n_nv = np.array([p.n_nv for p in frontier], dtype=np.float64)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import _integer_counts
-from .flops import _check_int
+from .flops import _check_int, _check_real
 
 __all__ = [
     "PrefixMask",
@@ -98,8 +98,7 @@ def unigram_baseline(token_counts: Sequence[int], smoothing_lambda: float) -> np
     positive so every token, including unseen ones, gets a finite
     log-probability. All-zero counts give the uniform ln(1/V) table.
     """
-    if not (math.isfinite(smoothing_lambda) and smoothing_lambda > 0):
-        raise ValueError(f"smoothing_lambda must be positive, got {smoothing_lambda!r}")
+    _check_real("smoothing_lambda", smoothing_lambda, "positive")
     counts = _integer_counts("token_counts", token_counts).astype(np.float64)
     denom = counts.sum() + smoothing_lambda * counts.size
     return np.log((counts + smoothing_lambda) / denom)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RunRecord
-from .flops import _check_int
+from .flops import _check_int, _check_real
 from .fsq import FsqLevels, _logit
 from .scaling import ScalingFits
 
@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 _PARAM_GRANULE = 12  # params_non_embedding of the smallest config (1 layer, width 1, ff_ratio 4)
+_PARAM_REL_TOL = 0.2  # largest relative miss config_for_params accepts
+_LATENT_EPS = 1e-6  # uniform_code draws stay this far inside (0, 1) before the logit
 
 
 @dataclass(frozen=True)
@@ -38,8 +40,8 @@ class CGridSpec:
     n_points: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.min_log10) and math.isfinite(self.max_log10)):
-            raise ValueError("grid bounds must be finite")
+        _check_real("min_log10", self.min_log10)
+        _check_real("max_log10", self.max_log10)
         if self.max_log10 < self.min_log10:
             raise ValueError("max_log10 must be >= min_log10")
         _check_int("n_points", self.n_points)
@@ -64,33 +66,32 @@ class SynthSpec:
 
     def __post_init__(self) -> None:
         _check_int("runs_per_budget", self.runs_per_budget)
-        if not (math.isfinite(self.noise_sigma_log10) and self.noise_sigma_log10 >= 0):
-            raise ValueError("noise_sigma_log10 must be non-negative and finite")
+        _check_real("noise_sigma_log10", self.noise_sigma_log10, "non-negative")
         _check_int("seed", self.seed, minimum=None)
 
 
-def config_for_params(n_nv_target: float, rel_tol: float = 0.2) -> tuple[int, int, int]:
+def config_for_params(n_nv_target: float) -> tuple[int, int, int]:
     """Back-solve (n_layers, n_heads, d_model) nearest to a parameter target.
 
     At ff_ratio 4 the parameter count is 12 * n_layers * d_model**2, so the
     width-1 family reaches every multiple of 12 and always contains a globally
     nearest config (within 6 of any target). These shapes are fit fixtures,
     not plausible models. Errors when the target sits below the smallest
-    config or the relative mismatch exceeds rel_tol.
+    config or the relative mismatch exceeds 20%.
     """
-    if not (math.isfinite(n_nv_target) and n_nv_target > 0):
-        raise ValueError(f"n_nv_target must be positive and finite, got {n_nv_target!r}")
+    _check_real("n_nv_target", n_nv_target, "positive")
     n_layers = int(math.floor(n_nv_target / _PARAM_GRANULE + 0.5))
     if n_layers < 1:
         raise ValueError(
             f"target {n_nv_target} is below the smallest valid config ({_PARAM_GRANULE} params)"
         )
     achieved = _PARAM_GRANULE * n_layers
-    if abs(achieved - n_nv_target) > rel_tol * n_nv_target:
-        raise ValueError(f"no config within {rel_tol:.0%} of target {n_nv_target}")
+    if abs(achieved - n_nv_target) > _PARAM_REL_TOL * n_nv_target:
+        raise ValueError(f"no config within {_PARAM_REL_TOL:.0%} of target {n_nv_target}")
     return n_layers, 1, 1
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflowed draws reach the checks as inf or nan
 def synth_runs(spec: SynthSpec) -> list[RunRecord]:
     """Generate an isoFLOPs sweep whose per-budget optimum follows spec.laws.
 
@@ -101,7 +102,7 @@ def synth_runs(spec: SynthSpec) -> list[RunRecord]:
     multiplicative 10**N(0, sigma) noise on the triplet and additive N(0,
     sigma) noise on the loss; siblings draw fresh perturbations and add a
     uniform loss offset of at least 0.01, so frontier extraction always
-    selects the law point.
+    selects the law point. A budget or draw that overflows fails its check.
     """
     records: list[RunRecord] = []
     for i, x in enumerate(spec.c_grid_log10.values_log10()):
@@ -113,6 +114,8 @@ def synth_runs(spec: SynthSpec) -> list[RunRecord]:
             n_v = spec.laws.nv_vs_c.evaluate(c) * 10.0 ** shift[0]
             n_nv = spec.laws.nnv_vs_c.evaluate(c) * 10.0 ** shift[1]
             d_tokens = spec.laws.d_vs_c.evaluate(c) * 10.0 ** shift[2]
+            _check_real("n_v", n_v, "non-negative")
+            _check_real("d_tokens", d_tokens, "non-negative")
             if j == 0:
                 loss = spec.laws.loss_vs_c.slope * x + spec.laws.loss_vs_c.intercept
                 loss += rng.normal(0.0, spec.noise_sigma_log10)
@@ -136,9 +139,7 @@ def synth_runs(spec: SynthSpec) -> list[RunRecord]:
     return records
 
 
-def _uniform_code_latents(
-    n: int, lv: FsqLevels, rng: np.random.Generator, eps: float
-) -> np.ndarray:
+def _uniform_code_latents(n: int, lv: FsqLevels, rng: np.random.Generator) -> np.ndarray:
     """Latents whose quantized code distribution is exactly uniform.
 
     Per channel, a uniform draw is warped through the inverse CDF of the
@@ -147,7 +148,7 @@ def _uniform_code_latents(
     (endpoint cells are half width, so plain uniform sampling would
     under-weight them).
     """
-    u = rng.uniform(eps, 1.0 - eps, size=(n, lv.dimension))
+    u = rng.uniform(_LATENT_EPS, 1.0 - _LATENT_EPS, size=(n, lv.dimension))
     out = np.empty_like(u)
     for i, level in enumerate(lv.levels):
         t = u[:, i] * level
@@ -156,7 +157,7 @@ def _uniform_code_latents(
         span = 1.0 / (level - 1)
         lo = np.where(code0 == 0, 0.0, (code0 - 0.5) * span)
         hi = np.where(code0 == level - 1, 1.0, (code0 + 0.5) * span)
-        v = np.clip(lo + frac * (hi - lo), eps, 1.0 - eps)
+        v = np.clip(lo + frac * (hi - lo), _LATENT_EPS, 1.0 - _LATENT_EPS)
         out[:, i] = _logit(v)
     return out
 
@@ -170,7 +171,6 @@ def synth_latents(
     n_components: int = 4,
     means=None,
     seed: int = 42,
-    eps: float = 1e-6,
 ) -> np.ndarray:
     """Seeded latent generator, returning an (n, dim) float array.
 
@@ -190,7 +190,7 @@ def synth_latents(
         lv = levels if isinstance(levels, FsqLevels) else FsqLevels(tuple(levels))
         if lv.dimension != dim:
             raise ValueError(f"levels dimension {lv.dimension} does not match dim {dim}")
-        return _uniform_code_latents(n, lv, rng, eps)
+        return _uniform_code_latents(n, lv, rng)
     if kind == "gaussian_mixture":
         if means is None:
             _check_int("n_components", n_components)

@@ -8,13 +8,12 @@ vectors with a seeded generator so training stays reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .flops import _check_int
+from .flops import _check_int, _check_real
 
 __all__ = [
     "VqCodebook",
@@ -86,12 +85,10 @@ class VqTrainParams:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError(f"alpha must be non-negative, got {self.alpha!r}")
+        _check_real("alpha", self.alpha, "non-negative")
         if not (0.0 < self.ema_decay < 1.0):
             raise ValueError(f"ema_decay must lie in (0, 1), got {self.ema_decay!r}")
-        if not (math.isfinite(self.reset_threshold) and self.reset_threshold >= 0):
-            raise ValueError(f"reset_threshold must be non-negative, got {self.reset_threshold!r}")
+        _check_real("reset_threshold", self.reset_threshold, "non-negative")
         _check_int("rng_seed", self.rng_seed, minimum=None)
 
 
@@ -157,8 +154,7 @@ def vq_quantize(z, codebook: VqCodebook) -> VqAssignment:
 
 def commitment_loss(z, z_hat, alpha: float) -> float:
     """alpha * squared distance between a latent and its assigned entry."""
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ValueError(f"alpha must be non-negative, got {alpha!r}")
+    _check_real("alpha", alpha, "non-negative")
     z = np.asarray(z, dtype=np.float64)
     z_hat = np.asarray(z_hat, dtype=np.float64)
     if z.shape != z_hat.shape:

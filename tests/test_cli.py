@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,16 @@ def test_vq_dimension_mismatch(invoke, tmp_path):
     codebook.write_text("0.0,0.0\n")
     code, _, err = invoke(["vq", "--latents", str(latents), "--codebook", str(codebook)])
     assert code == 1 and "does not match" in err
+
+
+def test_vq_empty_csv_is_one_error_line(invoke, tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's no-data warning would be a second stderr line
+        code, out, err = invoke(["vq", "--latents", str(empty), "--codebook", str(empty)])
+    assert (code, out) == (1, "")
+    assert err == f"error: latents CSV {str(empty)!r} is empty\n"
 
 
 def test_vq_missing_file(invoke, tmp_path):
@@ -363,6 +374,21 @@ def test_bad_fits_coefficient_is_one_error_line(invoke, tmp_path, command, bad):
     assert err.splitlines() == [f"error: nv_vs_c.log10_coef must be a number, got {bad!r}"]
 
 
+@pytest.mark.parametrize("command", ["plan", "synth"])
+def test_law_past_float_range_is_one_error_line(invoke, tmp_path, command):
+    doc = FITS_PRESETS["scamo-paper"].to_json_dict()
+    doc["nv_vs_c"] = {**doc["nv_vs_c"], "log10_coef": 400.0}  # 10**400 overflows a float
+    fits_path = tmp_path / "fits.json"
+    fits_path.write_text(json.dumps(doc))
+    argv = {
+        "plan": ["plan", "--flops", "1e18", "--fits", str(fits_path), "--d-model", "3200"],
+        "synth": ["synth", "--laws", str(fits_path)],
+    }[command]
+    code, out, err = invoke(argv)
+    assert (code, out) == (1, "")
+    assert err == "error: n_v must be non-negative and finite, got inf\n"
+
+
 def test_fit_rejects_run_past_float_range(invoke):
     record = {**json.loads(RUN_LINE), "n_layers": int("9" * 330)}
     code, out, err = invoke(["fit", "--bin-width", "0.5"], stdin=json.dumps(record))
@@ -412,6 +438,20 @@ def test_synth_to_fit_pipe_noiseless(invoke):
     fits = ScalingFits.from_json_dict(json.loads(fit_out))
     assert fits.nnv_vs_c.exponent == pytest.approx(0.57, abs=1e-9)
     assert fits.loss_vs_c.slope == pytest.approx(-1.062, abs=1e-9)
+
+
+def test_synth_noise_overflow_is_one_error_line(invoke):
+    code, out, err = invoke(["synth", "--noise", "400", "--grid-points", "1",
+                             "--runs-per-budget", "1", "--seed", "16"])
+    assert (code, out) == (1, "")
+    assert err == "error: d_tokens must be non-negative and finite, got inf\n"
+
+
+def test_synth_budget_overflow_is_one_error_line(invoke):
+    code, out, err = invoke(["synth", "--grid-min", "400", "--grid-max", "401",
+                             "--grid-points", "2"])
+    assert (code, out) == (1, "")
+    assert err == "error: x must be positive and finite, got inf\n"
 
 
 def test_outputs_end_with_newline(invoke):

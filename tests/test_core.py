@@ -49,12 +49,9 @@ def test_record_derived_params():
 
 
 def test_record_flops_fill():
-    r = make_record(flops=None)
-    filled = r.with_flops_filled()
+    filled = make_record(flops=None)  # filled at construction
     assert filled.flops == 6.0 * (12 * 8 * 512**2 + 1024 * 512) * 1000000
-    assert r.flops is None  # original untouched
-    already = make_record()
-    assert already.with_flops_filled() is already
+    assert make_record().flops == GOOD["flops"]  # a given value is kept
 
 
 @pytest.mark.parametrize(

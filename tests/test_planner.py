@@ -1,5 +1,6 @@
 """Budget planning against the shipped coefficient preset."""
 
+import dataclasses
 import math
 
 import pytest
@@ -9,6 +10,7 @@ from scamo_lab import (
     FITS_PRESETS,
     REFERENCE_PRESETS,
     LogLawFit,
+    PowerLawFit,
     ReferenceSelection,
     consistency_report,
     flops_for_loss,
@@ -174,6 +176,14 @@ def test_vocab_for_model_validation():
         vocab_for_model(3e9, PRESET.nv_vs_nnv, -1)
     with pytest.raises(ValueError):
         vocab_for_model(-3e9, PRESET.nv_vs_nnv, 3200)
+
+
+def test_vocab_past_float_range_is_rejected():
+    huge = PowerLawFit(log10_coef=400.0, exponent=0.75)
+    with pytest.raises(ValueError, match="^n_v must be non-negative and finite, got inf$"):
+        plan_budget(1e18, dataclasses.replace(PRESET, nv_vs_c=huge), 3200)
+    with pytest.raises(ValueError, match="^n_v must be non-negative and finite, got inf$"):
+        vocab_for_model(3e9, huge, 3200)
 
 
 def test_scale_faster_report():

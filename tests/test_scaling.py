@@ -98,8 +98,6 @@ def test_frontier_validation():
         pareto_frontier([])
     with pytest.raises(ValueError, match="bin_width"):
         pareto_frontier([run_at("a", 1e15, 0.1)], bin_width_log10=0.0)
-    with pytest.raises(ValueError, match="flops"):
-        pareto_frontier([run_at("a", None, 0.1)])
 
 
 def test_fit_power_law_exact():
@@ -182,6 +180,11 @@ def test_law_evaluate():
         power.evaluate(-1.0)
     with pytest.raises(ValueError):
         log.evaluate(0.0)
+
+
+def test_power_law_past_float_range_is_inf():
+    assert PowerLawFit(log10_coef=400.0, exponent=1.0).evaluate(1.0) == math.inf
+    assert PowerLawFit(log10_coef=0.0, exponent=2.0).evaluate(1e300) == math.inf
 
 
 def test_law_validation():
