@@ -19,6 +19,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import warnings
 
@@ -44,6 +45,9 @@ __all__ = ["run", "main", "dumps", "dumps_line"]
 
 DEFAULT_SEED = 42
 SEED_ENV_VAR = "SCAMO_LAB_SEED"
+# what argparse reads as a negative number, not an option: -5 and -0.5 as it does, and also
+# -1e5, so that `--flops -1e5` parses as `--flops=-1e5` does
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +186,7 @@ def _cmd_fsq(args) -> str:
     except ValueError as exc:
         raise ValueError(f"input is not a rectangular array: {exc}")
     if args.action == "quantize":
-        result = fsq_quantize(np.asarray(arr, dtype=np.float64), lv)
+        result = fsq_quantize(arr, lv)
     elif args.action == "dequantize":
         result = fsq_dequantize(arr, lv)
     elif args.action == "encode":
@@ -374,6 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for p in sub.choices.values():
         p.add_argument("--out", default=None)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -15,7 +15,8 @@ from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
-from .flops import ModelConfig, _check_int, _check_real, flops_approx, params_non_embedding
+from .flops import (ModelConfig, _check_int, _check_int_array, _check_real, flops_approx,
+                    params_non_embedding)
 
 __all__ = [
     "MODEL_SHAPE_PRESETS",
@@ -168,21 +169,6 @@ def load_runs(source: IO[str] | IO[bytes] | Iterable[str] | Iterable[bytes] | st
     return records
 
 
-def _integer_counts(name: str, values) -> np.ndarray:
-    """A non-empty 1-D array of non-negative whole numbers, as int64."""
-    counts = np.asarray(values)
-    if counts.ndim != 1 or counts.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-D array")
-    if not np.issubdtype(counts.dtype, np.integer):
-        as_float = np.asarray(counts, dtype=np.float64)
-        counts = as_float.astype(np.int64)
-        if not np.array_equal(counts, as_float):
-            raise ValueError(f"{name} must be integers")
-    if (counts < 0).any():
-        raise ValueError(f"{name} must be non-negative")
-    return counts.astype(np.int64)
-
-
 @dataclass
 class CodeUsageHistogram:
     """Usage counts per quantizer code; counts[k] is how often code k fired."""
@@ -191,7 +177,7 @@ class CodeUsageHistogram:
     total: int | None = None
 
     def __post_init__(self) -> None:
-        self.counts = _integer_counts("counts", self.counts)
+        self.counts = _check_int_array("counts", self.counts, (None,), 0)
         total = int(self.counts.sum())
         if self.total is None:
             self.total = total

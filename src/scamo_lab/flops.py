@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "ModelConfig",
     "FlopsBreakdown",
@@ -31,13 +33,61 @@ def _check_int(name: str, value: object, minimum: int | None = 1) -> None:
         raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
+_REAL_KINDS = {"finite": "finite", "positive": "positive and finite",
+               "non-negative": "non-negative and finite"}
+
+
 def _check_real(name: str, value: float, kind: str = "finite") -> None:
     """The package's one real-number rule: finite, and also positive or non-negative by kind."""
     if math.isfinite(value):
         if kind == "finite" or value > 0 or (value == 0 and kind == "non-negative"):
             return
-    rule = "finite" if kind == "finite" else f"{kind} and finite"
-    raise ValueError(f"{name} must be {rule}, got {float(value)!r}")
+    raise ValueError(f"{name} must be {_REAL_KINDS[kind]}, got {float(value)!r}")
+
+
+def _shaped(name: str, array: np.ndarray, shape: tuple) -> np.ndarray:
+    """array, if it has shape: an int is exactly that length, None any length >= 1."""
+    if len(array.shape) != len(shape) or any(
+        n < 1 if want is None else n != want for n, want in zip(array.shape, shape)
+    ):
+        want = ", ".join("n" if n is None else str(n) for n in shape) + "," * (len(shape) == 1)
+        raise ValueError(f"{name} must have shape ({want}), got {array.shape}")
+    return array
+
+
+def _check_real_array(name: str, value, shape: tuple, kind: str = "finite") -> np.ndarray:
+    """The real-number rule for arrays: float64 of the given shape, every value finite, and
+    also positive or non-negative by kind. A float64 array comes back as is, not copied."""
+    try:
+        array = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be real numbers") from None
+    _shaped(name, array, shape)
+    ok = np.isfinite(array).all()
+    if ok and kind != "finite":
+        ok = (array > 0).all() if kind == "positive" else (array >= 0).all()
+    if not ok:
+        raise ValueError(f"{name} must be {_REAL_KINDS[kind]}")
+    return array
+
+
+def _check_int_array(name: str, value, shape: tuple, minimum: int, maximum=None) -> np.ndarray:
+    """The integer rule for arrays: an integer dtype (never bool or float) of the given shape,
+    every value in [minimum, maximum], as int64; an int64 array comes back as is, not copied.
+    maximum may be per channel, broadcast on the last axis. minimum is never negative, so a
+    uint64 past the int64 range, which wraps negative, is refused."""
+    try:
+        array = np.asarray(value)
+        integral = np.issubdtype(array.dtype, np.integer)
+    except (TypeError, ValueError):  # a ragged nesting
+        integral = False
+    if not integral:
+        raise ValueError(f"{name} must be integers")
+    array = _shaped(name, array, shape).astype(np.int64, copy=False)
+    if array.min() < minimum or (maximum is not None and (array > maximum).any()):
+        bounds = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise ValueError(f"{name} must be integers {bounds}")
+    return array
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .flops import _check_int
+from .flops import _check_int, _check_int_array, _check_real_array
 
 __all__ = [
     "FsqLevels",
@@ -33,6 +33,7 @@ __all__ = [
 
 # Flat indices are vectorized in int64, so keep the codebook inside that range.
 _MAX_CODEBOOK = 2**63 - 1
+_LATENT_EPS = 1e-6  # latents for endpoint codes stay this far inside (0, 1) before the logit
 
 
 @dataclass(frozen=True)
@@ -101,30 +102,9 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
     return np.copysign(np.floor(np.abs(x) + 0.5), x)
 
 
-def _check_latents(z, lv: FsqLevels) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim not in (1, 2) or z.shape[-1] != lv.dimension:
-        raise ValueError(
-            f"latents must have {lv.dimension} channels in the last axis, got shape {z.shape}"
-        )
-    if not np.isfinite(z).all():
-        raise ValueError("latents must be finite")
-    return z
-
-
-def _check_codes(q, lv: FsqLevels) -> np.ndarray:
-    q = np.asarray(q)
-    if not np.issubdtype(q.dtype, np.integer):
-        raise ValueError("codes must be integers")
-    if q.ndim not in (1, 2) or q.shape[-1] != lv.dimension:
-        raise ValueError(
-            f"codes must have {lv.dimension} channels in the last axis, got shape {q.shape}"
-        )
-    q = q.astype(np.int64)
-    bounds = np.asarray(lv.levels, dtype=np.int64)
-    if ((q < 1) | (q > bounds)).any():
-        raise ValueError(f"code channels must lie in 1..levels, levels {lv.levels}")
-    return q
+def _rows(value, lv: FsqLevels) -> tuple:
+    """The shape of one lv-channel vector, or of a batch of them, by value's rank."""
+    return (lv.dimension,) if np.ndim(value) == 1 else (None, lv.dimension)
 
 
 def fsq_quantize(z, levels: FsqLevels | Sequence[int]) -> np.ndarray:
@@ -133,7 +113,7 @@ def fsq_quantize(z, levels: FsqLevels | Sequence[int]) -> np.ndarray:
     Rounding is half away from zero. Returns int64 codes with the input shape.
     """
     lv = _levels_of(levels)
-    z = _check_latents(z, lv)
+    z = _check_real_array("latents", z, _rows(z, lv))
     spans = np.asarray(lv.levels, dtype=np.float64) - 1.0
     return (1 + _round_half_away(_sigmoid(z) * spans)).astype(np.int64)
 
@@ -141,7 +121,7 @@ def fsq_quantize(z, levels: FsqLevels | Sequence[int]) -> np.ndarray:
 def fsq_dequantize(q, levels: FsqLevels | Sequence[int]) -> np.ndarray:
     """Map codes to their level centers (q_i - 1) / (levels[i] - 1) in [0, 1]."""
     lv = _levels_of(levels)
-    q = _check_codes(q, lv)
+    q = _check_int_array("codes", q, _rows(q, lv), 1, lv.levels)
     spans = np.asarray(lv.levels, dtype=np.float64) - 1.0
     return (q - 1) / spans
 
@@ -153,29 +133,19 @@ def fsq_encode_index(q, levels: FsqLevels | Sequence[int]) -> int | np.ndarray:
     a Python int; a batch gives an int64 array.
     """
     lv = _levels_of(levels)
-    q = _check_codes(q, lv)
-    place = np.concatenate(([1], np.cumprod(np.asarray(lv.levels[:-1], dtype=np.int64))))
-    idx = ((q - 1) * place).sum(axis=-1)
+    q = _check_int_array("codes", q, _rows(q, lv), 1, lv.levels)
+    idx = np.ravel_multi_index(tuple((q - 1).T[::-1]), lv.levels[::-1])
     return int(idx) if q.ndim == 1 else idx
 
 
 def fsq_decode_index(index, levels: FsqLevels | Sequence[int]) -> np.ndarray:
     """Invert fsq_encode_index: flat index back to the 1-based code vector."""
     lv = _levels_of(levels)
-    idx = np.asarray(index)
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise ValueError("index must be an integer")
-    if idx.ndim > 1:
-        raise ValueError("index must be a scalar or 1-D array")
-    size = codebook_size(lv)
-    if ((idx < 0) | (idx >= size)).any():
-        raise ValueError(f"index out of range [0, {size})")
-    rem = idx.reshape(-1).astype(np.int64)
-    digits = np.empty((rem.size, lv.dimension), dtype=np.int64)
-    for i, base in enumerate(lv.levels):
-        digits[:, i] = rem % base + 1
-        rem = rem // base
-    return digits[0] if idx.ndim == 0 else digits
+    shape = () if np.ndim(index) == 0 else (None,)
+    idx = _check_int_array("index", index, shape, 0, codebook_size(lv) - 1)
+    codes = np.stack(np.unravel_index(idx, lv.levels[::-1])[::-1], axis=-1)
+    codes += 1
+    return codes
 
 
 class SteForward(NamedTuple):
@@ -191,15 +161,15 @@ def fsq_ste_forward(z, levels: FsqLevels | Sequence[int]) -> SteForward:
     derivative sigmoid(z) * (1 - sigmoid(z)) per channel.
     """
     lv = _levels_of(levels)
-    z = _check_latents(z, lv)
+    z = _check_real_array("latents", z, _rows(z, lv))
     value = fsq_dequantize(fsq_quantize(z, lv), lv)
     s = _sigmoid(z)
     return SteForward(value=value, surrogate_jacobian_diag=s * (1.0 - s))
 
 
-def latent_for_code(q, levels: FsqLevels | Sequence[int], eps: float = 1e-6) -> np.ndarray:
+def latent_for_code(q, levels: FsqLevels | Sequence[int]) -> np.ndarray:
     """A latent that quantizes to q: logit of the level center, clamped into
-    (eps, 1 - eps) so the endpoint codes stay finite."""
+    (_LATENT_EPS, 1 - _LATENT_EPS) so the endpoint codes stay finite."""
     lv = _levels_of(levels)
-    v = np.clip(fsq_dequantize(q, lv), eps, 1.0 - eps)
+    v = np.clip(fsq_dequantize(q, lv), _LATENT_EPS, 1.0 - _LATENT_EPS)
     return _logit(v)

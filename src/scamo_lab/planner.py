@@ -12,7 +12,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
-from .flops import _check_int, _check_real
+from .flops import _check_int, _check_real, flops_approx
 from .scaling import LogLawFit, PowerLawFit, ScalingFits
 
 __all__ = [
@@ -66,11 +66,14 @@ CONSISTENCY_TOLERANCE_LOG10 = 0.35
 
 
 def flops_for_loss(target_loss: float, law: LogLawFit) -> float:
-    """Invert the log law: the budget at which it predicts target_loss."""
+    """Invert the log law: the budget at which it predicts target_loss; inf past float range."""
     _check_real("target_loss", target_loss)
     if law.slope == 0.0:
         raise ValueError("log law with zero slope cannot be inverted")
-    return 10.0 ** ((target_loss - law.intercept) / law.slope)
+    try:
+        return 10.0 ** ((target_loss - law.intercept) / law.slope)
+    except OverflowError:
+        return math.inf
 
 
 def nearest_power_of_two(n: int) -> int:
@@ -116,7 +119,8 @@ def plan_budget(
     alongside. constraint_residual_log10 = log10(6 * (n_nv + n_v) * d / c)
     measures the laws' drift from the compute identity. With rescale_d the
     token count is divided by 10**residual, restoring the identity, and the
-    reported residual becomes (numerically) zero.
+    reported residual becomes (numerically) zero. The law values must be
+    finite, and n_nv and d_tokens positive.
     """
     _check_real("c_flops", c_flops, "positive")
     _check_int("d_model", d_model)
@@ -124,10 +128,11 @@ def plan_budget(
     n_nv = fits.nnv_vs_c.evaluate(c_flops)
     d_tokens = fits.d_vs_c.evaluate(c_flops)
     predicted = fits.loss_vs_c.evaluate(c_flops)
-    residual = math.log10(6.0 * (n_nv + n_v) * d_tokens / c_flops)
+    _check_real("predicted_loss", predicted)
+    residual = math.log10(flops_approx(n_nv, n_v, d_tokens) / c_flops)
     if rescale_d:
         d_tokens /= 10.0**residual
-        residual = math.log10(6.0 * (n_nv + n_v) * d_tokens / c_flops)
+        residual = math.log10(flops_approx(n_nv, n_v, d_tokens) / c_flops)
     vocab = _vocab_size(n_v, d_model)
     return BudgetPlan(
         flops_budget=float(c_flops),

@@ -16,7 +16,7 @@ from typing import Sequence, get_type_hints
 import numpy as np
 
 from .core import RunRecord, _json_number
-from .flops import _check_real
+from .flops import _check_real, _check_real_array
 
 __all__ = [
     "PowerLawFit",
@@ -174,6 +174,8 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     Constant y short-circuits to a flat line with r2 = 1.0. At zero total
     variance, r2 is 1.0 when residuals vanish and 0.0 otherwise.
     """
+    if x.size < 2:
+        raise ValueError("need at least 2 samples to fit")
     if np.all(y == y[0]):
         return 0.0, float(y[0]), 1.0
     xm = x.mean()
@@ -189,32 +191,18 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(r2)
 
 
-def _check_fit_inputs(xs, ys, positive_y: bool) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if xs.ndim != 1 or xs.shape != ys.shape:
-        raise ValueError("xs and ys must be 1-D sequences of equal length")
-    if xs.size < 2:
-        raise ValueError("need at least 2 samples to fit")
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-        raise ValueError("fit inputs must be finite")
-    if (xs <= 0).any():
-        raise ValueError("xs must be positive")
-    if positive_y and (ys <= 0).any():
-        raise ValueError("ys must be positive for a power-law fit")
-    return xs, ys
-
-
 def fit_power_law(xs, ys) -> PowerLawFit:
     """OLS fit of log10(y) on log10(x); exponent is the slope."""
-    xs, ys = _check_fit_inputs(xs, ys, positive_y=True)
+    xs = _check_real_array("xs", xs, (None,), "positive")
+    ys = _check_real_array("ys", ys, xs.shape, "positive")
     slope, intercept, r2 = _ols(np.log10(xs), np.log10(ys))
     return PowerLawFit(log10_coef=intercept, exponent=slope, r2=r2)
 
 
 def fit_log_law(cs, losses) -> LogLawFit:
     """OLS fit of loss on log10(c); losses may be negative."""
-    cs, losses = _check_fit_inputs(cs, losses, positive_y=False)
+    cs = _check_real_array("cs", cs, (None,), "positive")
+    losses = _check_real_array("losses", losses, cs.shape)
     slope, intercept, r2 = _ols(np.log10(cs), losses)
     return LogLawFit(slope=slope, intercept=intercept, r2=r2)
 

@@ -15,8 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _integer_counts
-from .flops import _check_int, _check_real
+from .flops import _check_int, _check_int_array, _check_real
 
 __all__ = [
     "PrefixMask",
@@ -99,6 +98,6 @@ def unigram_baseline(token_counts: Sequence[int], smoothing_lambda: float) -> np
     log-probability. All-zero counts give the uniform ln(1/V) table.
     """
     _check_real("smoothing_lambda", smoothing_lambda, "positive")
-    counts = _integer_counts("token_counts", token_counts).astype(np.float64)
+    counts = _check_int_array("token_counts", token_counts, (None,), 0).astype(np.float64)
     denom = counts.sum() + smoothing_lambda * counts.size
     return np.log((counts + smoothing_lambda) / denom)

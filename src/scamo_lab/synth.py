@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RunRecord
-from .flops import _check_int, _check_real
-from .fsq import FsqLevels, _logit
+from .flops import _check_int, _check_real, _check_real_array
+from .fsq import _LATENT_EPS, FsqLevels, _logit
 from .scaling import ScalingFits
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
 
 _PARAM_GRANULE = 12  # params_non_embedding of the smallest config (1 layer, width 1, ff_ratio 4)
 _PARAM_REL_TOL = 0.2  # largest relative miss config_for_params accepts
-_LATENT_EPS = 1e-6  # uniform_code draws stay this far inside (0, 1) before the logit
 
 
 @dataclass(frozen=True)
@@ -196,11 +195,7 @@ def synth_latents(
             _check_int("n_components", n_components)
             means = rng.uniform(-2.0, 2.0, size=(n_components, dim))
         else:
-            means = np.asarray(means, dtype=np.float64)
-            if means.ndim != 2 or means.shape[1] != dim or means.shape[0] < 1:
-                raise ValueError(f"means must be a (m, {dim}) array, got shape {means.shape}")
-            if not np.isfinite(means).all():
-                raise ValueError("means must be finite")
+            means = _check_real_array("means", means, (None, dim))
         component = rng.integers(0, means.shape[0], size=n)
         return means[component] + rng.standard_normal((n, dim))
     raise ValueError(f"unknown latent kind {kind!r}")

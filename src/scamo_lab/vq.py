@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .flops import _check_int, _check_real
+from .flops import _check_int, _check_real, _check_real_array
 
 __all__ = [
     "VqCodebook",
@@ -40,26 +40,16 @@ class VqCodebook:
     ema_sums: np.ndarray
 
     def __post_init__(self) -> None:
-        self.entries = np.asarray(self.entries, dtype=np.float64)
-        if self.entries.ndim != 2 or self.entries.shape[0] < 1 or self.entries.shape[1] < 1:
-            raise ValueError("entries must be a (K, d) array with K >= 1 and d >= 1")
-        if not np.isfinite(self.entries).all():
-            raise ValueError("entries must be finite")
-        self.usage_counts = np.asarray(self.usage_counts, dtype=np.float64)
-        if self.usage_counts.shape != (self.size,):
-            raise ValueError("usage_counts must have shape (K,)")
-        if not np.isfinite(self.usage_counts).all() or (self.usage_counts < 0).any():
-            raise ValueError("usage_counts must be finite and non-negative")
-        self.ema_sums = np.asarray(self.ema_sums, dtype=np.float64)
-        if self.ema_sums.shape != self.entries.shape:
-            raise ValueError("ema_sums must have the same shape as entries")
-        if not np.isfinite(self.ema_sums).all():
-            raise ValueError("ema_sums must be finite")
+        self.entries = _check_real_array("entries", self.entries, (None, None))
+        self.usage_counts = _check_real_array(
+            "usage_counts", self.usage_counts, (self.size,), "non-negative"
+        )
+        self.ema_sums = _check_real_array("ema_sums", self.ema_sums, self.entries.shape)
 
     @classmethod
     def fresh(cls, entries) -> "VqCodebook":
         """Codebook whose EMA state is consistent with its entries (usage 1)."""
-        entries = np.asarray(entries, dtype=np.float64)
+        entries = _check_real_array("entries", entries, (None, None))
         return cls(
             entries=entries.copy(),
             usage_counts=np.ones(entries.shape[0]),
@@ -77,15 +67,13 @@ class VqCodebook:
 
 @dataclass(frozen=True)
 class VqTrainParams:
-    """Constants for commitment loss, EMA updates, and dead-code resets."""
+    """Constants for EMA updates and dead-code resets."""
 
-    alpha: float = 1.0
     ema_decay: float = 0.99
     reset_threshold: float = 1.0
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_real("alpha", self.alpha, "non-negative")
         if not (0.0 < self.ema_decay < 1.0):
             raise ValueError(f"ema_decay must lie in (0, 1), got {self.ema_decay!r}")
         _check_real("reset_threshold", self.reset_threshold, "non-negative")
@@ -97,31 +85,13 @@ class VqAssignment(NamedTuple):
     entry: np.ndarray
 
 
-def _check_vector(z, dim: int) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (dim,):
-        raise ValueError(f"latent must have shape ({dim},), got {z.shape}")
-    if not np.isfinite(z).all():
-        raise ValueError("latent must be finite")
-    return z
-
-
-def _check_batch(batch, dim: int) -> np.ndarray:
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != dim or batch.shape[0] < 1:
-        raise ValueError(f"batch must be a non-empty (n, {dim}) array, got shape {batch.shape}")
-    if not np.isfinite(batch).all():
-        raise ValueError("batch must be finite")
-    return batch
-
-
 @np.errstate(over="ignore", invalid="ignore")  # rows whose norms overflow keep every entry
 def vq_assign(batch, codebook: VqCodebook) -> np.ndarray:
     """Nearest entry for each row of an (n, d) batch; ties pick the lowest index.
 
     Exact: BLAS only shortlists, ((z - e) ** 2).sum() decides; _BLOCK_ROWS rows at a time.
     """
-    batch = _check_batch(batch, codebook.dim)
+    batch = _check_real_array("batch", batch, (None, codebook.dim))
     entries, size, dim = codebook.entries, codebook.size, codebook.dim
     e2, neg2_et = np.einsum("kd,kd->k", entries, entries), -2.0 * entries.T
     out = np.empty(len(batch), dtype=np.int64)
@@ -147,7 +117,7 @@ def vq_assign(batch, codebook: VqCodebook) -> np.ndarray:
 
 def vq_quantize(z, codebook: VqCodebook) -> VqAssignment:
     """vq_assign for one latent: its nearest entry, the lowest index on ties."""
-    z = _check_vector(z, codebook.dim)
+    z = _check_real_array("latent", z, (codebook.dim,))
     index = int(vq_assign(z[None, :], codebook)[0])
     return VqAssignment(index=index, entry=codebook.entries[index].copy())
 
@@ -155,12 +125,8 @@ def vq_quantize(z, codebook: VqCodebook) -> VqAssignment:
 def commitment_loss(z, z_hat, alpha: float) -> float:
     """alpha * squared distance between a latent and its assigned entry."""
     _check_real("alpha", alpha, "non-negative")
-    z = np.asarray(z, dtype=np.float64)
-    z_hat = np.asarray(z_hat, dtype=np.float64)
-    if z.shape != z_hat.shape:
-        raise ValueError(f"shape mismatch: {z.shape} vs {z_hat.shape}")
-    if not (np.isfinite(z).all() and np.isfinite(z_hat).all()):
-        raise ValueError("inputs must be finite")
+    z = _check_real_array("z", z, (None,) * np.ndim(z))
+    z_hat = _check_real_array("z_hat", z_hat, z.shape)
     return float(alpha * ((z - z_hat) ** 2).sum())
 
 
@@ -174,7 +140,7 @@ def vq_ema_update(batch, codebook: VqCodebook, params: VqTrainParams) -> VqCodeb
     Codes with zero updated usage keep their entries. The input codebook is
     not mutated.
     """
-    batch = _check_batch(batch, codebook.dim)
+    batch = _check_real_array("batch", batch, (None, codebook.dim))
     indices = vq_assign(batch, codebook)
     n = np.bincount(indices, minlength=codebook.size).astype(np.float64)
     s = np.zeros_like(codebook.ema_sums)
@@ -201,7 +167,7 @@ def vq_reset(codebook: VqCodebook, batch, params: VqTrainParams) -> VqResetResul
     and ema_sums equal to their new entry. Returns the new codebook and how
     many codes were reset; the input codebook is not mutated.
     """
-    batch = _check_batch(batch, codebook.dim)
+    batch = _check_real_array("batch", batch, (None, codebook.dim))
     dead = np.flatnonzero(codebook.usage_counts < params.reset_threshold)
     entries = codebook.entries.copy()
     usage = codebook.usage_counts.copy()

@@ -118,7 +118,15 @@ def test_fsq_errors(invoke):
     code, _, err = invoke(["fsq", "quantize", "--levels", "8,5"], stdin="not json")
     assert code == 1 and "not valid JSON" in err
     code, _, err = invoke(["fsq", "decode", "--levels", "8,5"], stdin="40")
-    assert code == 1 and "out of range" in err
+    assert code == 1 and "index must be integers in [0, 39]" in err
+
+
+@pytest.mark.parametrize("action", ["quantize", "dequantize", "encode", "decode"])
+def test_fsq_non_numbers_are_one_error_line(invoke, action):
+    code, out, err = invoke(["fsq", action, "--levels", "8,5"], stdin="[{}]")
+    want = "latents must be real numbers" if action == "quantize" else "must be integers"
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and want in err
 
 
 def test_fsq_usage_errors(invoke):
@@ -349,6 +357,31 @@ def test_plan_from_fits_file(invoke, tmp_path):
     doc = json.loads(out)
     assert doc["vocab_pow2"] == 65536
     assert "reference_comparison" not in doc  # only presets carry a reference
+
+
+def test_plan_names_a_law_value_that_underflows(invoke, tmp_path):
+    doc = FITS_PRESETS["scamo-paper"].to_json_dict()
+    doc["d_vs_c"] = {**doc["d_vs_c"], "log10_coef": -400}
+    fits_path = tmp_path / "fits.json"
+    fits_path.write_text(json.dumps(doc))
+    code, out, err = invoke(["plan", "--flops", "1e18", "--fits", str(fits_path), "--d-model", "8"])
+    assert (code, out) == (1, "")
+    assert err == "error: d_tokens must be positive and finite, got 0.0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--grid-min", "-1e1", "--grid-max", "3"],
+        ["plan", "--flops", "-1e5", "--fits", "scamo-paper", "--d-model", "8"],
+        ["plan", "--flops", "-.5E+3", "--fits", "scamo-paper", "--d-model", "8"],
+    ],
+)
+def test_negative_exponent_value_parses_like_the_equals_form(invoke, argv):
+    joined = argv[:1] + [f"{argv[1]}={argv[2]}"] + argv[3:]
+    first = invoke(argv)
+    assert first[0] == 1 and first[2].startswith("error: ")
+    assert first == invoke(joined)
 
 
 def test_plan_unknown_fits(invoke):

@@ -172,10 +172,9 @@ def test_load_runs_empty_input():
     assert load_runs("\n   \n") == []
 
 
-def test_histogram_coerces_integral_floats():
-    h = CodeUsageHistogram(np.array([1.0, 2.0, 0.0]))
-    assert h.counts.dtype == np.int64
-    assert h.total == 3
+def test_histogram_rejects_integral_floats():
+    with pytest.raises(ValueError, match="^counts must be integers$"):
+        CodeUsageHistogram(np.array([1.0, 2.0, 0.0]))
 
 
 @pytest.mark.parametrize(

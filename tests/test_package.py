@@ -1,4 +1,5 @@
-"""Package-wide contracts: exported names, a numpy-only import, one integer and one real rule."""
+"""Package-wide contracts: exported names, a numpy-only import, and one integer, one real
+and one array rule for every argument."""
 
 import re
 import subprocess
@@ -131,7 +132,6 @@ REALS = [
     ("SynthSpec", "noise_sigma_log10", "non-negative",
      lambda v: scamo_lab.SynthSpec(PAPER_FITS, GRID, noise_sigma_log10=v)),
     ("config_for_params", "n_nv_target", "positive", lambda v: scamo_lab.config_for_params(v)),
-    ("VqTrainParams.alpha", "alpha", "non-negative", lambda v: scamo_lab.VqTrainParams(alpha=v)),
     ("VqTrainParams.reset_threshold", "reset_threshold", "non-negative",
      lambda v: scamo_lab.VqTrainParams(reset_threshold=v)),
     ("commitment_loss", "alpha", "non-negative",
@@ -155,3 +155,100 @@ def test_one_rule_for_reals(name, kind, build, value):
     got = re.escape(repr(float(value)))
     with pytest.raises(ValueError, match=f"^{name} must be {rule}, got {got}$"):
         build(value)
+
+
+CODEBOOK = scamo_lab.VqCodebook.fresh(np.zeros((3, 2)))
+PARAMS = scamo_lab.VqTrainParams()
+LEVELS = (8, 5)
+
+# Every public array argument: (id, name in the error, rule, required shape, a good value,
+# call with a value). The rule is a real kind, or the range of an integer argument.
+ARRAYS = [
+    ("fsq_quantize", "latents", "finite", "(n, 2)", np.zeros((3, 2)),
+     lambda v: scamo_lab.fsq_quantize(v, LEVELS)),
+    ("fsq_ste_forward", "latents", "finite", "(n, 2)", np.zeros((3, 2)),
+     lambda v: scamo_lab.fsq_ste_forward(v, LEVELS)),
+    ("VqCodebook.entries", "entries", "finite", "(n, n)", np.zeros((3, 2)),
+     lambda v: scamo_lab.VqCodebook(v, np.ones(3), np.zeros((3, 2)))),
+    ("VqCodebook.usage_counts", "usage_counts", "non-negative", "(3,)", np.ones(3),
+     lambda v: scamo_lab.VqCodebook(np.zeros((3, 2)), v, np.zeros((3, 2)))),
+    ("VqCodebook.ema_sums", "ema_sums", "finite", "(3, 2)", np.zeros((3, 2)),
+     lambda v: scamo_lab.VqCodebook(np.zeros((3, 2)), np.ones(3), v)),
+    ("VqCodebook.fresh", "entries", "finite", "(n, n)", np.zeros((3, 2)),
+     scamo_lab.VqCodebook.fresh),
+    ("vq_assign", "batch", "finite", "(n, 2)", np.zeros((4, 2)),
+     lambda v: scamo_lab.vq_assign(v, CODEBOOK)),
+    ("vq_quantize", "latent", "finite", "(2,)", np.zeros(2),
+     lambda v: scamo_lab.vq_quantize(v, CODEBOOK)),
+    ("vq_ema_update", "batch", "finite", "(n, 2)", np.zeros((4, 2)),
+     lambda v: scamo_lab.vq_ema_update(v, CODEBOOK, PARAMS)),
+    ("vq_reset", "batch", "finite", "(n, 2)", np.zeros((4, 2)),
+     lambda v: scamo_lab.vq_reset(CODEBOOK, v, PARAMS)),
+    ("commitment_loss.z", "z", "finite", "(n,)", np.zeros(2),
+     lambda v: scamo_lab.commitment_loss(v, np.zeros(np.shape(v)), 1.0)),
+    ("commitment_loss.z_hat", "z_hat", "finite", "(2,)", np.zeros(2),
+     lambda v: scamo_lab.commitment_loss(np.zeros(2), v, 1.0)),
+    ("fit_power_law.xs", "xs", "positive", "(n,)", np.ones(3),
+     lambda v: scamo_lab.fit_power_law(v, np.ones(3))),
+    ("fit_power_law.ys", "ys", "positive", "(3,)", np.ones(3),
+     lambda v: scamo_lab.fit_power_law([1.0, 2.0, 3.0], v)),
+    ("fit_log_law.cs", "cs", "positive", "(n,)", np.ones(3),
+     lambda v: scamo_lab.fit_log_law(v, np.ones(3))),
+    ("fit_log_law.losses", "losses", "finite", "(3,)", np.ones(3),
+     lambda v: scamo_lab.fit_log_law([1.0, 2.0, 3.0], v)),
+    ("synth_latents", "means", "finite", "(n, 2)", np.zeros((3, 2)),
+     lambda v: scamo_lab.synth_latents("gaussian_mixture", 4, 2, means=v)),
+    ("fsq_dequantize", "codes", "in [1, (8, 5)]", "(n, 2)", np.ones((3, 2), dtype=np.int64),
+     lambda v: scamo_lab.fsq_dequantize(v, LEVELS)),
+    ("fsq_encode_index", "codes", "in [1, (8, 5)]", "(n, 2)", np.ones((3, 2), dtype=np.int64),
+     lambda v: scamo_lab.fsq_encode_index(v, LEVELS)),
+    ("latent_for_code", "codes", "in [1, (8, 5)]", "(n, 2)", np.ones((3, 2), dtype=np.int64),
+     lambda v: scamo_lab.latent_for_code(v, LEVELS)),
+    ("fsq_decode_index", "index", "in [0, 39]", "(n,)", np.arange(3),
+     lambda v: scamo_lab.fsq_decode_index(v, LEVELS)),
+    ("CodeUsageHistogram", "counts", ">= 0", "(n,)", np.ones(3, dtype=np.int64),
+     scamo_lab.CodeUsageHistogram),
+    ("unigram_baseline", "token_counts", ">= 0", "(n,)", np.ones(3, dtype=np.int64),
+     lambda v: scamo_lab.unigram_baseline(v, 1.0)),
+]
+ANY_SHAPE = {"commitment_loss.z"}  # z_hat takes its shape from z
+
+
+def _with_first(array, value):
+    out = array.copy()
+    out.flat[0] = value
+    return out
+
+
+def _array_cases():
+    for entry, name, rule, shape, good, build in ARRAYS:
+        integer = rule not in OUT_OF_RANGE
+        cases = {"empty": (good[:0], f"must have shape {shape}, got {good[:0].shape}"),
+                 "[{}]": ([{}], "must be integers" if integer else "must be real numbers")}
+        if entry not in ANY_SHAPE:
+            bad = good[..., None]
+            cases["shape"] = (bad, f"must have shape {shape}, got {bad.shape}")
+        if integer:
+            cases["float"] = (good.astype(np.float64), "must be integers")
+            cases["bool"] = (good.astype(bool), "must be integers")
+            cases["range"] = (_with_first(good, -1), f"must be integers {rule}")
+        else:
+            words = "finite" if rule == "finite" else f"{rule} and finite"
+            for value in [float("nan"), *OUT_OF_RANGE[rule]]:
+                cases[repr(float(value))] = (_with_first(good, value), f"must be {words}")
+        for case, (value, message) in cases.items():
+            yield pytest.param(build, value, f"{name} {message}", id=f"{entry}-{case}")
+
+
+@pytest.mark.parametrize("build, value, message", _array_cases())
+def test_one_rule_for_arrays(build, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(value)
+
+
+def test_array_rules_keep_an_array_of_their_dtype():
+    from scamo_lab.flops import _check_int_array, _check_real_array
+
+    reals, ints = np.ones((3, 2)), np.ones((3, 2), dtype=np.int64)
+    assert _check_real_array("z", reals, (None, 2)) is reals
+    assert _check_int_array("q", ints, (None, 2), 1) is ints

@@ -52,6 +52,10 @@ def test_flops_for_loss_inverts():
         flops_for_loss(-1.0, LogLawFit(slope=0.0, intercept=1.0))
 
 
+def test_flops_for_loss_past_float_range_is_inf():
+    assert flops_for_loss(-1e6, LogLawFit(slope=-1e-3, intercept=0.0)) == math.inf
+
+
 @pytest.mark.parametrize(
     "n,expected",
     [

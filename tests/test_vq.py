@@ -88,8 +88,6 @@ def test_commitment_loss():
 def test_train_params_validation():
     VqTrainParams()
     with pytest.raises(ValueError):
-        VqTrainParams(alpha=-1.0)
-    with pytest.raises(ValueError):
         VqTrainParams(ema_decay=0.0)
     with pytest.raises(ValueError):
         VqTrainParams(ema_decay=1.0)
