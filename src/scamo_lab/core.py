@@ -15,8 +15,8 @@ from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
-from .flops import (ModelConfig, _check_int, _check_int_array, _check_real, flops_approx,
-                    params_non_embedding)
+from .flops import (_INT64_MAX, ModelConfig, _check_int, _check_int_array, _check_real,
+                    flops_approx, params_non_embedding)
 
 __all__ = [
     "MODEL_SHAPE_PRESETS",
@@ -46,8 +46,9 @@ class RunRecord:
 
     normalized_loss is a per-token loss in nats measured against a baseline,
     so negative values are legal (the model beats the baseline). The five
-    shape fields are checked once, by the ModelConfig that config() returns.
-    A flops of None is filled at construction from 6 * (N_nv + N_v) * D.
+    shape fields are checked once, by the ModelConfig that config() returns;
+    they and tokens_trained are at most 2**63 - 1. A flops of None is filled
+    from 6 * (N_nv + N_v) * D; flops and normalized_loss are kept as floats.
     """
 
     run_id: str
@@ -66,16 +67,13 @@ class RunRecord:
             raise ValueError("run_id must be a non-empty string")
         config = ModelConfig(self.n_layers, self.n_heads, self.d_model, self.n_ctx, self.vocab_size)
         object.__setattr__(self, "_config", config)
-        _check_int("tokens_trained", self.tokens_trained)
-        n_nv, n_v = self.n_nv(), self.n_v
-        try:
-            float(n_nv + n_v), float(self.tokens_trained)
-        except OverflowError:
-            raise ValueError("n_nv + n_v and tokens_trained must fit in a float") from None
-        if self.flops is None:
-            object.__setattr__(self, "flops", flops_approx(n_nv, n_v, self.tokens_trained))
-        _check_real("flops", self.flops, "positive")
-        _check_real("normalized_loss", self.normalized_loss)
+        _check_int("tokens_trained", self.tokens_trained, 1, _INT64_MAX)
+        flops = self.flops
+        if flops is None:
+            flops = flops_approx(self.n_nv(), self.n_v, self.tokens_trained)
+        object.__setattr__(self, "flops", _check_real("flops", flops, "positive"))
+        object.__setattr__(self, "normalized_loss",
+                           _check_real("normalized_loss", self.normalized_loss))
 
     def config(self) -> ModelConfig:
         return self._config
@@ -106,16 +104,6 @@ class RunLogError(ValueError):
         super().__init__(f"invalid run log: {head}{tail}")
 
 
-def _json_number(name: str, value: object) -> float:
-    """A JSON number (not a boolean) as a float; ValueError past float range."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} is out of float range") from None
-
-
 def _record_from_json(obj: object) -> RunRecord:
     if not isinstance(obj, dict):
         raise ValueError("line must be a JSON object")
@@ -125,14 +113,7 @@ def _record_from_json(obj: object) -> RunRecord:
     missing = sorted(set(RUN_FIELDS) - {"flops"} - set(obj))
     if missing:
         raise ValueError(f"missing field(s): {', '.join(missing)}")
-    flops = obj.get("flops")
-    return RunRecord(
-        **{
-            **obj,
-            "flops": None if flops is None else _json_number("flops", flops),
-            "normalized_loss": _json_number("normalized_loss", obj["normalized_loss"]),
-        }
-    )
+    return RunRecord(**{"flops": None, **obj})
 
 
 def load_runs(source: IO[str] | IO[bytes] | Iterable[str] | Iterable[bytes] | str | bytes) -> list[RunRecord]:
@@ -171,18 +152,14 @@ def load_runs(source: IO[str] | IO[bytes] | Iterable[str] | Iterable[bytes] | st
 
 @dataclass
 class CodeUsageHistogram:
-    """Usage counts per quantizer code; counts[k] is how often code k fired."""
+    """Usage counts per quantizer code: counts[k] is how often code k fired; total is the sum."""
 
     counts: np.ndarray
-    total: int | None = None
+    total: int = field(init=False)
 
     def __post_init__(self) -> None:
         self.counts = _check_int_array("counts", self.counts, (None,), 0)
-        total = int(self.counts.sum())
-        if self.total is None:
-            self.total = total
-        elif self.total != total:
-            raise ValueError(f"total ({self.total}) does not match sum of counts ({total})")
+        self.total = int(self.counts.sum(dtype=object))  # exact: an int64 sum can wrap
 
 
 class CodebookMetrics(NamedTuple):

@@ -24,25 +24,41 @@ __all__ = [
 ]
 
 
-def _check_int(name: str, value: object, minimum: int | None = 1) -> None:
-    """The package's one integer rule: an int, never a bool, of at least minimum."""
+_INT64_MAX = 2**63 - 1  # bounds FSQ codebooks and run shapes; run counts stay below ~1e96
+
+
+def _check_int(name: str, value: object, minimum: int | None = 1, maximum=None) -> None:
+    """The package's one integer rule: an int, never a bool, in [minimum, maximum]."""
     is_int = isinstance(value, int) and not isinstance(value, bool)
-    if not is_int or (minimum is not None and value < minimum):
+    if (not is_int or (minimum is not None and value < minimum)
+            or (maximum is not None and value > maximum)):
         kind = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
         kind = kind.get(minimum, f"an integer >= {minimum}")
+        kind = kind if maximum is None else f"an integer in [{minimum}, {maximum}]"
         raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 _REAL_KINDS = {"finite": "finite", "positive": "positive and finite",
-               "non-negative": "non-negative and finite"}
+               "non-negative": "non-negative and finite",
+               "non-positive": "non-positive and finite"}
 
 
-def _check_real(name: str, value: float, kind: str = "finite") -> None:
-    """The package's one real-number rule: finite, and also positive or non-negative by kind."""
-    if math.isfinite(value):
-        if kind == "finite" or value > 0 or (value == 0 and kind == "non-negative"):
-            return
-    raise ValueError(f"{name} must be {_REAL_KINDS[kind]}, got {float(value)!r}")
+def _check_real(name: str, value: object, kind: str = "finite") -> float:
+    """The one real-number rule: an int or float (numpy's too, never a bool), finite and, by kind,
+    also positive, non-negative or non-positive. Returns it as a float; a huge int is +-inf."""
+    if isinstance(value, float):  # numpy's float64 too; the common case, tested first
+        x = value
+    elif isinstance(value, (int, np.floating, np.integer)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int past float range
+            x = math.inf if value > 0 else -math.inf
+    else:
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if math.isfinite(x) and (kind == "finite" or (
+            x > 0 if kind == "positive" else x >= 0 if kind == "non-negative" else x <= 0)):
+        return x
+    raise ValueError(f"{name} must be {_REAL_KINDS[kind]}, got {float(x)!r}")
 
 
 def _shaped(name: str, array: np.ndarray, shape: tuple) -> np.ndarray:
@@ -56,10 +72,14 @@ def _shaped(name: str, array: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _check_real_array(name: str, value, shape: tuple, kind: str = "finite") -> np.ndarray:
-    """The real-number rule for arrays: float64 of the given shape, every value finite, and
-    also positive or non-negative by kind. A float64 array comes back as is, not copied."""
+    """The real-number rule for arrays: integer, float or object values (never bool, complex or
+    text) of the given shape as float64, every value finite, and also positive or non-negative
+    by kind. A float64 array comes back as is, not copied."""
     try:
-        array = np.asarray(value, dtype=np.float64)
+        array = np.asarray(value)
+        if array.dtype.kind not in "iufO":  # bool, complex, text or dates
+            raise TypeError
+        array = array.astype(np.float64, copy=False)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be real numbers") from None
     _shaped(name, array, shape)
@@ -107,7 +127,7 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_layers", "n_heads", "d_model", "n_ctx", "n_vocab", "ff_ratio"):
-            _check_int(name, getattr(self, name))
+            _check_int(name, getattr(self, name), 1, _INT64_MAX)
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})"

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .flops import _check_int, _check_int_array, _check_real_array
+from .flops import _INT64_MAX, _check_int, _check_int_array, _check_real_array
 
 __all__ = [
     "FsqLevels",
@@ -31,8 +31,6 @@ __all__ = [
     "latent_for_code",
 ]
 
-# Flat indices are vectorized in int64, so keep the codebook inside that range.
-_MAX_CODEBOOK = 2**63 - 1
 _LATENT_EPS = 1e-6  # latents for endpoint codes stay this far inside (0, 1) before the logit
 
 
@@ -49,7 +47,7 @@ class FsqLevels:
             raise ValueError("levels must be non-empty")
         for lv in self.levels:
             _check_int("every level count", lv, minimum=2)
-        if math.prod(self.levels) > _MAX_CODEBOOK:
+        if math.prod(self.levels) > _INT64_MAX:  # flat indices are int64
             raise ValueError("codebook size exceeds the exact int64 range")
 
     @property
@@ -98,10 +96,6 @@ def _logit(v: np.ndarray) -> np.ndarray:
         return np.where(near_half, np.log1p(s) - np.log1p(-s), np.log(v / (1.0 - v)))
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.copysign(np.floor(np.abs(x) + 0.5), x)
-
-
 def _rows(value, lv: FsqLevels) -> tuple:
     """The shape of one lv-channel vector, or of a batch of them, by value's rank."""
     return (lv.dimension,) if np.ndim(value) == 1 else (None, lv.dimension)
@@ -110,12 +104,13 @@ def _rows(value, lv: FsqLevels) -> tuple:
 def fsq_quantize(z, levels: FsqLevels | Sequence[int]) -> np.ndarray:
     """Quantize latents to 1-based codes: q_i = 1 + round(sigmoid(z_i) * (levels[i] - 1)).
 
-    Rounding is half away from zero. Returns int64 codes with the input shape.
+    Rounding is half away from zero: the scaled sigmoid is never negative, so it is
+    floor(x + 0.5). Returns int64 codes with the input shape.
     """
     lv = _levels_of(levels)
     z = _check_real_array("latents", z, _rows(z, lv))
     spans = np.asarray(lv.levels, dtype=np.float64) - 1.0
-    return (1 + _round_half_away(_sigmoid(z) * spans)).astype(np.int64)
+    return (1 + np.floor(_sigmoid(z) * spans + 0.5)).astype(np.int64)
 
 
 def fsq_dequantize(q, levels: FsqLevels | Sequence[int]) -> np.ndarray:

@@ -129,10 +129,15 @@ def plan_budget(
     d_tokens = fits.d_vs_c.evaluate(c_flops)
     predicted = fits.loss_vs_c.evaluate(c_flops)
     _check_real("predicted_loss", predicted)
-    residual = math.log10(flops_approx(n_nv, n_v, d_tokens) / c_flops)
+
+    def log10_ratio() -> float:  # of the current d_tokens; the ratio may underflow to 0
+        ratio = flops_approx(n_nv, n_v, d_tokens) / c_flops
+        return math.log10(_check_real("6 (n_nv + n_v) d_tokens / c_flops", ratio, "positive"))
+
+    residual = log10_ratio()
     if rescale_d:
         d_tokens /= 10.0**residual
-        residual = math.log10(flops_approx(n_nv, n_v, d_tokens) / c_flops)
+        residual = log10_ratio()
     vocab = _vocab_size(n_v, d_model)
     return BudgetPlan(
         flops_budget=float(c_flops),

@@ -15,7 +15,7 @@ from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .core import RunRecord, _json_number
+from .core import RunRecord
 from .flops import _check_real, _check_real_array
 
 __all__ = [
@@ -86,7 +86,7 @@ class ScalingFits:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ScalingFits":
-        """Inverse of to_json_dict. Coefficients must be JSON numbers; r2 may be null."""
+        """Inverse of to_json_dict. Coefficients must be numbers; r2 may be null."""
         if not isinstance(obj, dict):
             raise ValueError("fits document must be a JSON object")
         laws = get_type_hints(cls)
@@ -96,18 +96,13 @@ class ScalingFits:
         kwargs = {}
         for name, law in laws.items():
             entry = obj[name]
-            params = fields(law)
-            keys = tuple(p.name for p in params)
+            keys = tuple(p.name for p in fields(law))
             if not isinstance(entry, dict) or set(entry) != set(keys):
                 raise ValueError(f"{name} must be an object with keys {keys}")
-            kwargs[name] = law(
-                **{
-                    p.name: None
-                    if entry[p.name] is None and p.default is None
-                    else _json_number(f"{name}.{p.name}", entry[p.name])
-                    for p in params
-                }
-            )
+            try:
+                kwargs[name] = law(**entry)
+            except ValueError as exc:  # the rule's "<key> must be ...", named in full
+                raise ValueError(f"{name}.{exc}") from None
         return cls(**kwargs)
 
 

@@ -64,10 +64,8 @@ class TokenProbRecord:
     baseline_logp: float
 
     def __post_init__(self) -> None:
-        for name in ("model_logp", "baseline_logp"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value > 0.0:
-                raise ValueError(f"{name} must be finite and <= 0, got {value!r}")
+        _check_real("model_logp", self.model_logp, "non-positive")
+        _check_real("baseline_logp", self.baseline_logp, "non-positive")
 
 
 def ce_loss(records: Sequence[TokenProbRecord]) -> dict[str, float]:

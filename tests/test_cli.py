@@ -129,6 +129,12 @@ def test_fsq_non_numbers_are_one_error_line(invoke, action):
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and want in err
 
 
+@pytest.mark.parametrize("latents", ["[true, false]", '["0.4", "-1.2"]'])
+def test_fsq_quantize_refuses_bools_and_strings(invoke, latents):
+    code, out, err = invoke(["fsq", "quantize", "--levels", "8,5"], stdin=latents)
+    assert (code, out, err) == (1, "", "error: latents must be real numbers\n")
+
+
 def test_fsq_usage_errors(invoke):
     assert invoke(["fsq", "quantize"], stdin="[0.0]")[0] == 2  # missing levels
     assert invoke(["fsq", "quantize", "--preset", "2^10", "--levels", "8,5"])[0] == 2
@@ -369,6 +375,18 @@ def test_plan_names_a_law_value_that_underflows(invoke, tmp_path):
     assert err == "error: d_tokens must be positive and finite, got 0.0\n"
 
 
+def test_plan_names_a_compute_ratio_that_underflows(invoke, tmp_path):
+    # every law value is positive and finite, but 6 (n_nv + n_v) d_tokens / c is below 5e-324
+    doc = FITS_PRESETS["scamo-paper"].to_json_dict()
+    for law, coef in (("nv_vs_c", -30), ("nnv_vs_c", -30), ("d_vs_c", -300)):
+        doc[law] = {**doc[law], "log10_coef": coef}
+    fits_path = tmp_path / "fits.json"
+    fits_path.write_text(json.dumps(doc))
+    code, out, err = invoke(["plan", "--flops", "1e18", "--fits", str(fits_path), "--d-model", "8"])
+    assert (code, out) == (1, "")
+    assert err == "error: 6 (n_nv + n_v) d_tokens / c_flops must be positive and finite, got 0.0\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -427,7 +445,8 @@ def test_fit_rejects_run_past_float_range(invoke):
     code, out, err = invoke(["fit", "--bin-width", "0.5"], stdin=json.dumps(record))
     assert code == 1 and out == ""
     assert err.splitlines() == [
-        "error: invalid run log: line 1: n_nv + n_v and tokens_trained must fit in a float"
+        f"error: invalid run log: line 1: n_layers must be an integer in [1, {2**63 - 1}], "
+        f"got {record['n_layers']}"
     ]
 
 

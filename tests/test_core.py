@@ -150,13 +150,16 @@ HUGE = int("9" * 330)  # past float range
 def test_load_runs_rejects_counts_past_float_range(overrides):
     with pytest.raises(RunLogError) as err:
         load_runs(line_of({**GOOD, **overrides}))
-    assert err.value.errors == [(1, "n_nv + n_v and tokens_trained must fit in a float")]
+    (name,) = set(overrides) - {"flops"}
+    name = {"vocab_size": "n_vocab"}.get(name, name)  # checked by ModelConfig, as n_vocab
+    assert err.value.errors == [(1, f"{name} must be an integer in [1, {2**63 - 1}], got {HUGE}")]
 
 
 def test_load_runs_rejects_infinite_filled_flops():
+    # these counts would fill flops past float range; the int64 bound refuses them first
     record = {**GOOD, "n_layers": 10**290, "n_heads": 1, "d_model": 1, "tokens_trained": 10**20}
     del record["flops"]
-    with pytest.raises(RunLogError, match="line 1: flops must be positive and finite"):
+    with pytest.raises(RunLogError, match=r"line 1: n_layers must be an integer in \[1, "):
         load_runs(line_of(record))
 
 
@@ -186,10 +189,11 @@ def test_histogram_rejects_bad_counts(counts):
         CodeUsageHistogram(counts)
 
 
-def test_histogram_total_checked():
-    CodeUsageHistogram(np.array([3, 4]), total=7)
-    with pytest.raises(ValueError, match="does not match"):
-        CodeUsageHistogram(np.array([3, 4]), total=8)
+def test_histogram_total_is_exact_past_int64():
+    hist = CodeUsageHistogram(np.array([2**62, 2**62]))
+    assert hist.total == 2**63
+    m = codebook_metrics(hist)
+    assert m.utilization == 1.0 and m.exp_entropy == pytest.approx(2.0, rel=1e-15)
 
 
 def test_metrics_hand_computed():

@@ -87,6 +87,35 @@ def test_true_is_not_an_integer(build):
         build()
 
 
+INT64_MAX = 2**63 - 1
+UNIT_SHAPE = dict(n_layers=1, n_heads=1, d_model=1, n_ctx=1, n_vocab=1, ff_ratio=1)
+
+
+def _bound_message(name):
+    return f"^{name} must be an integer in \\[1, {INT64_MAX}\\], got {2**63}$"
+
+
+@pytest.mark.parametrize("field", UNIT_SHAPE)
+def test_model_config_counts_stop_at_int64(field):
+    def build(v):  # n_heads must divide d_model
+        return scamo_lab.ModelConfig(**{**UNIT_SHAPE, "d_model": v if field == "n_heads" else 1,
+                                        field: v})
+
+    assert getattr(build(INT64_MAX), field) == INT64_MAX
+    with pytest.raises(ValueError, match=_bound_message(field)):
+        build(2**63)
+
+
+def test_tokens_trained_stops_at_int64():
+    largest = dict(n_layers=INT64_MAX, n_heads=INT64_MAX, d_model=INT64_MAX, n_ctx=INT64_MAX,
+                   vocab_size=INT64_MAX, tokens_trained=INT64_MAX)
+    run = scamo_lab.RunRecord("r", **largest, flops=None, normalized_loss=0.0)
+    assert run.flops < 1e97  # every count at its bound still fills a finite flops
+    with pytest.raises(ValueError, match=_bound_message("tokens_trained")):
+        scamo_lab.RunRecord("r", **SHAPE, vocab_size=32, tokens_trained=2**63, flops=None,
+                            normalized_loss=0.0)
+
+
 PAPER_PLAN = scamo_lab.plan_budget(1e18, PAPER_FITS, 3200)
 GRID = scamo_lab.CGridSpec(14.0, 15.0, 2)
 
@@ -136,24 +165,33 @@ REALS = [
      lambda v: scamo_lab.VqTrainParams(reset_threshold=v)),
     ("commitment_loss", "alpha", "non-negative",
      lambda v: scamo_lab.commitment_loss([0.0], [0.0], v)),
+    ("TokenProbRecord.model_logp", "model_logp", "non-positive",
+     lambda v: scamo_lab.TokenProbRecord(v, 0.0)),
+    ("TokenProbRecord.baseline_logp", "baseline_logp", "non-positive",
+     lambda v: scamo_lab.TokenProbRecord(0.0, v)),
 ]
 # nan breaks every kind; the range kinds also get a numpy scalar just outside the range,
 # which the error prints as a plain float
-OUT_OF_RANGE = {"finite": [], "positive": [np.float64(0.0)], "non-negative": [np.float64(-1.0)]}
+OUT_OF_RANGE = {"finite": [], "positive": [np.float64(0.0)], "non-negative": [np.float64(-1.0)],
+                "non-positive": [np.float64(1.0)]}
 
 
-@pytest.mark.parametrize(
-    "name, kind, build, value",
-    [
-        pytest.param(name, kind, build, value, id=f"{entry}={value}")
-        for entry, name, kind, build in REALS
-        for value in [float("nan"), *OUT_OF_RANGE[kind]]
-    ],
-)
-def test_one_rule_for_reals(name, kind, build, value):
-    rule = "finite" if kind == "finite" else f"{kind} and finite"
-    got = re.escape(repr(float(value)))
-    with pytest.raises(ValueError, match=f"^{name} must be {rule}, got {got}$"):
+def _real_cases():
+    for entry, name, kind, build in REALS:
+        rule = "finite" if kind == "finite" else f"{kind} and finite"
+        for value in [float("nan"), *OUT_OF_RANGE[kind]]:
+            message = f"{name} must be {rule}, got {float(value)!r}"
+            yield pytest.param(build, value, message, id=f"{entry}={value}")
+        # an int past float range counts as inf; a bool or a string is no number at all
+        yield pytest.param(build, 10**400, f"{name} must be {rule}, got inf", id=f"{entry}=10**400")
+        for value in [True, "1"]:
+            message = f"{name} must be a number, got {value!r}"
+            yield pytest.param(build, value, message, id=f"{entry}={value!r}")
+
+
+@pytest.mark.parametrize("build, value, message", _real_cases())
+def test_one_rule_for_reals(build, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build(value)
 
 
@@ -236,6 +274,8 @@ def _array_cases():
             words = "finite" if rule == "finite" else f"{rule} and finite"
             for value in [float("nan"), *OUT_OF_RANGE[rule]]:
                 cases[repr(float(value))] = (_with_first(good, value), f"must be {words}")
+            for dtype in (bool, complex, str):
+                cases[dtype.__name__] = (good.astype(dtype), "must be real numbers")
         for case, (value, message) in cases.items():
             yield pytest.param(build, value, f"{name} {message}", id=f"{entry}-{case}")
 
