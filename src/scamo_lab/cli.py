@@ -43,8 +43,6 @@ from .vq import VqCodebook, vq_assign
 
 __all__ = ["run", "main", "dumps", "dumps_line"]
 
-DEFAULT_SEED = 42
-SEED_ENV_VAR = "SCAMO_LAB_SEED"
 # what argparse reads as a negative number, not an option: -5 and -0.5 as it does, and also
 # -1e5, so that `--flops -1e5` parses as `--flops=-1e5` does
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
@@ -60,52 +58,38 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_json(obj, out: list[str], indent: int | None, depth: int) -> None:
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (dict, list, tuple, np.ndarray)):
-        if isinstance(obj, dict):
-            brackets = "{}"
-            items = [(json.dumps(str(key)) + ": ", value) for key, value in obj.items()]
-        else:
-            brackets = "[]"
-            items = [("", v) for v in (obj.tolist() if isinstance(obj, np.ndarray) else obj)]
-        if not items:
-            out.append(brackets)
-            return
-        sep, pad, close = ", ", "", brackets[1]
-        if indent is not None:
-            sep = ","
-            pad = "\n" + " " * (indent * (depth + 1))
-            close = "\n" + " " * (indent * depth) + brackets[1]
-        for k, (prefix, value) in enumerate(items):
-            out.append((brackets[0] if k == 0 else sep) + pad + prefix)
-            _write_json(value, out, indent, depth + 1)
-        out.append(close)
+def _json(obj, indent: int | None, depth: int = 0) -> str:
+    """obj as JSON text, nested depth levels deep; on one line when indent is None."""
+    if isinstance(obj, float):  # numpy's float64 too
+        return _fmt_float(obj)
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return str(obj)
+    if isinstance(obj, dict):
+        brackets = "{}"
+        items = [f"{json.dumps(str(k))}: {_json(v, indent, depth + 1)}" for k, v in obj.items()]
+    elif isinstance(obj, (list, tuple)):
+        brackets, items = "[]", [_json(v, indent, depth + 1) for v in obj]
+    elif isinstance(obj, (np.ndarray, np.generic)) and not isinstance(
+            plain := obj.tolist(), np.generic):  # a longdouble stays one under tolist
+        return _json(plain, indent, depth)
+    elif obj is None or isinstance(obj, (bool, str)):
+        return json.dumps(obj)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if not items or indent is None:
+        return brackets[0] + ", ".join(items) + brackets[1]
+    pad = "\n" + " " * (indent * (depth + 1))
+    return f"{brackets[0]}{pad}{(',' + pad).join(items)}\n{' ' * (indent * depth)}{brackets[1]}"
 
 
 def dumps(obj, indent: int = 2) -> str:
     """Deterministic JSON: insertion-ordered keys, floats at 17 significant digits."""
-    out: list[str] = []
-    _write_json(obj, out, indent, 0)
-    return "".join(out)
+    return _json(obj, indent)
 
 
 def dumps_line(obj) -> str:
     """Single-line deterministic JSON for JSONL streams."""
-    out: list[str] = []
-    _write_json(obj, out, None, 0)
-    return "".join(out)
+    return _json(obj, None)
 
 
 # ---------------------------------------------------------------------------
@@ -164,15 +148,12 @@ def _run_lines(records: list[RunRecord]) -> str:
 
 
 def _cmd_flops(args) -> str:
-    cfg = ModelConfig(
-        n_layers=args.layers,
-        n_heads=args.heads,
-        d_model=args.d_model,
-        n_ctx=args.ctx,
-        n_vocab=args.vocab,
-        ff_ratio=args.ff_ratio,
-    )
+    cfg = ModelConfig(args.layers, args.heads, args.d_model, args.ctx, args.vocab, args.ff_ratio)
     return dumps(dataclasses.asdict(flops_per_token_exact(cfg))) + "\n"
+
+
+_FSQ_ACTIONS = {"quantize": fsq_quantize, "dequantize": fsq_dequantize,
+                "encode": fsq_encode_index, "decode": fsq_decode_index}
 
 
 def _cmd_fsq(args) -> str:
@@ -181,19 +162,7 @@ def _cmd_fsq(args) -> str:
         data = json.loads(_read_text(args.infile))
     except json.JSONDecodeError as exc:
         raise ValueError(f"input is not valid JSON: {exc}")
-    try:
-        arr = np.asarray(data)
-    except ValueError as exc:
-        raise ValueError(f"input is not a rectangular array: {exc}")
-    if args.action == "quantize":
-        result = fsq_quantize(arr, lv)
-    elif args.action == "dequantize":
-        result = fsq_dequantize(arr, lv)
-    elif args.action == "encode":
-        result = fsq_encode_index(arr, lv)
-    else:
-        result = fsq_decode_index(arr, lv)
-    return dumps(result) + "\n"
+    return dumps(_FSQ_ACTIONS[args.action](data, lv)) + "\n"
 
 
 def _cmd_vq(args) -> str:
@@ -288,19 +257,12 @@ def _cmd_plan(args) -> str:
 
 
 def _cmd_synth(args) -> str:
-    seed = args.seed
-    if seed is None:
-        raw = os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
-        try:
-            seed = int(raw)
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
     spec = SynthSpec(
         laws=_resolve_fits(args.laws),
         c_grid_log10=CGridSpec(args.grid_min, args.grid_max, args.grid_points),
         runs_per_budget=args.runs_per_budget,
         noise_sigma_log10=args.noise,
-        seed=seed,
+        seed=args.seed,
     )
     return _run_lines(synth_runs(spec))
 
@@ -326,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_flops)
 
     p = sub.add_parser("fsq", help="finite scalar quantizer ops on JSON arrays")
-    p.add_argument("action", choices=["quantize", "dequantize", "encode", "decode"])
+    p.add_argument("action", choices=_FSQ_ACTIONS)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--preset", help="level preset name, e.g. 2^10")
     group.add_argument("--levels", help="comma-separated level counts, e.g. 8,5,5,5")
@@ -371,9 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-points", dest="grid_points", type=int, default=9)
     p.add_argument("--runs-per-budget", dest="runs_per_budget", type=int, default=3)
     p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument(
-        "--seed", type=int, default=None, help=f"default: ${SEED_ENV_VAR} or {DEFAULT_SEED}"
-    )
+    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(handler=_cmd_synth)
 
     for p in sub.choices.values():

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from dataclasses import dataclass, field
 from typing import IO, Iterable, NamedTuple
 
@@ -65,7 +66,11 @@ class RunRecord:
     def __post_init__(self) -> None:
         if not isinstance(self.run_id, str) or not self.run_id:
             raise ValueError("run_id must be a non-empty string")
-        config = ModelConfig(self.n_layers, self.n_heads, self.d_model, self.n_ctx, self.vocab_size)
+        try:
+            config = ModelConfig(self.n_layers, self.n_heads, self.d_model, self.n_ctx,
+                                 self.vocab_size)
+        except ValueError as exc:  # ModelConfig calls vocab_size n_vocab
+            raise ValueError(re.sub("^n_vocab ", "vocab_size ", str(exc))) from None
         object.__setattr__(self, "_config", config)
         _check_int("tokens_trained", self.tokens_trained, 1, _INT64_MAX)
         flops = self.flops

@@ -61,8 +61,20 @@ def _check_real(name: str, value: object, kind: str = "finite") -> float:
     raise ValueError(f"{name} must be {_REAL_KINDS[kind]}, got {float(x)!r}")
 
 
-def _shaped(name: str, array: np.ndarray, shape: tuple) -> np.ndarray:
-    """array, if it has shape: an int is exactly that length, None any length >= 1."""
+def _as_array(value) -> np.ndarray:
+    """np.asarray(value), or TypeError for a list holding a bool, which numpy would turn into a
+    number ([True, 0.5] is float64). An ndarray is judged by its dtype alone, unscanned."""
+    array = np.asarray(value)
+    if not isinstance(value, np.ndarray) and any(
+            isinstance(x, (bool, np.bool_)) for x in np.asarray(value, dtype=object).flat):
+        raise TypeError
+    return array
+
+
+def _shaped(name: str, array: np.ndarray, shape) -> np.ndarray:
+    """array, if it has shape: an int is exactly that length, None any length >= 1. shape may
+    also be a function of the array's rank that returns one."""
+    shape = shape(array.ndim) if callable(shape) else shape
     if len(array.shape) != len(shape) or any(
         n < 1 if want is None else n != want for n, want in zip(array.shape, shape)
     ):
@@ -71,12 +83,12 @@ def _shaped(name: str, array: np.ndarray, shape: tuple) -> np.ndarray:
     return array
 
 
-def _check_real_array(name: str, value, shape: tuple, kind: str = "finite") -> np.ndarray:
+def _check_real_array(name: str, value, shape, kind: str = "finite") -> np.ndarray:
     """The real-number rule for arrays: integer, float or object values (never bool, complex or
-    text) of the given shape as float64, every value finite, and also positive or non-negative
-    by kind. A float64 array comes back as is, not copied."""
+    text, nor a ragged nesting) of the given shape as float64, every value finite, and also
+    positive or non-negative by kind. A float64 array comes back as is, not copied."""
     try:
-        array = np.asarray(value)
+        array = _as_array(value)
         if array.dtype.kind not in "iufO":  # bool, complex, text or dates
             raise TypeError
         array = array.astype(np.float64, copy=False)
@@ -91,15 +103,15 @@ def _check_real_array(name: str, value, shape: tuple, kind: str = "finite") -> n
     return array
 
 
-def _check_int_array(name: str, value, shape: tuple, minimum: int, maximum=None) -> np.ndarray:
+def _check_int_array(name: str, value, shape, minimum: int, maximum=None) -> np.ndarray:
     """The integer rule for arrays: an integer dtype (never bool or float) of the given shape,
     every value in [minimum, maximum], as int64; an int64 array comes back as is, not copied.
     maximum may be per channel, broadcast on the last axis. minimum is never negative, so a
     uint64 past the int64 range, which wraps negative, is refused."""
     try:
-        array = np.asarray(value)
+        array = _as_array(value)
         integral = np.issubdtype(array.dtype, np.integer)
-    except (TypeError, ValueError):  # a ragged nesting
+    except (TypeError, ValueError):  # a ragged nesting, or a bool in a list
         integral = False
     if not integral:
         raise ValueError(f"{name} must be integers")

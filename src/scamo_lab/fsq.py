@@ -96,9 +96,9 @@ def _logit(v: np.ndarray) -> np.ndarray:
         return np.where(near_half, np.log1p(s) - np.log1p(-s), np.log(v / (1.0 - v)))
 
 
-def _rows(value, lv: FsqLevels) -> tuple:
-    """The shape of one lv-channel vector, or of a batch of them, by value's rank."""
-    return (lv.dimension,) if np.ndim(value) == 1 else (None, lv.dimension)
+def _rows(lv: FsqLevels):
+    """The shape of one lv-channel vector, or of a batch of them, by the array's rank."""
+    return lambda ndim: (lv.dimension,) if ndim == 1 else (None, lv.dimension)
 
 
 def fsq_quantize(z, levels: FsqLevels | Sequence[int]) -> np.ndarray:
@@ -108,7 +108,7 @@ def fsq_quantize(z, levels: FsqLevels | Sequence[int]) -> np.ndarray:
     floor(x + 0.5). Returns int64 codes with the input shape.
     """
     lv = _levels_of(levels)
-    z = _check_real_array("latents", z, _rows(z, lv))
+    z = _check_real_array("latents", z, _rows(lv))
     spans = np.asarray(lv.levels, dtype=np.float64) - 1.0
     return (1 + np.floor(_sigmoid(z) * spans + 0.5)).astype(np.int64)
 
@@ -116,7 +116,7 @@ def fsq_quantize(z, levels: FsqLevels | Sequence[int]) -> np.ndarray:
 def fsq_dequantize(q, levels: FsqLevels | Sequence[int]) -> np.ndarray:
     """Map codes to their level centers (q_i - 1) / (levels[i] - 1) in [0, 1]."""
     lv = _levels_of(levels)
-    q = _check_int_array("codes", q, _rows(q, lv), 1, lv.levels)
+    q = _check_int_array("codes", q, _rows(lv), 1, lv.levels)
     spans = np.asarray(lv.levels, dtype=np.float64) - 1.0
     return (q - 1) / spans
 
@@ -128,7 +128,7 @@ def fsq_encode_index(q, levels: FsqLevels | Sequence[int]) -> int | np.ndarray:
     a Python int; a batch gives an int64 array.
     """
     lv = _levels_of(levels)
-    q = _check_int_array("codes", q, _rows(q, lv), 1, lv.levels)
+    q = _check_int_array("codes", q, _rows(lv), 1, lv.levels)
     idx = np.ravel_multi_index(tuple((q - 1).T[::-1]), lv.levels[::-1])
     return int(idx) if q.ndim == 1 else idx
 
@@ -136,8 +136,8 @@ def fsq_encode_index(q, levels: FsqLevels | Sequence[int]) -> int | np.ndarray:
 def fsq_decode_index(index, levels: FsqLevels | Sequence[int]) -> np.ndarray:
     """Invert fsq_encode_index: flat index back to the 1-based code vector."""
     lv = _levels_of(levels)
-    shape = () if np.ndim(index) == 0 else (None,)
-    idx = _check_int_array("index", index, shape, 0, codebook_size(lv) - 1)
+    idx = _check_int_array("index", index, lambda ndim: () if ndim == 0 else (None,), 0,
+                           codebook_size(lv) - 1)
     codes = np.stack(np.unravel_index(idx, lv.levels[::-1])[::-1], axis=-1)
     codes += 1
     return codes
@@ -156,7 +156,7 @@ def fsq_ste_forward(z, levels: FsqLevels | Sequence[int]) -> SteForward:
     derivative sigmoid(z) * (1 - sigmoid(z)) per channel.
     """
     lv = _levels_of(levels)
-    z = _check_real_array("latents", z, _rows(z, lv))
+    z = _check_real_array("latents", z, _rows(lv))
     value = fsq_dequantize(fsq_quantize(z, lv), lv)
     s = _sigmoid(z)
     return SteForward(value=value, surrogate_jacobian_diag=s * (1.0 - s))

@@ -125,7 +125,7 @@ def vq_quantize(z, codebook: VqCodebook) -> VqAssignment:
 def commitment_loss(z, z_hat, alpha: float) -> float:
     """alpha * squared distance between a latent and its assigned entry."""
     _check_real("alpha", alpha, "non-negative")
-    z = _check_real_array("z", z, (None,) * np.ndim(z))
+    z = _check_real_array("z", z, lambda ndim: (None,) * ndim)
     z_hat = _check_real_array("z_hat", z_hat, z.shape)
     return float(alpha * ((z - z_hat) ** 2).sum())
 

@@ -9,9 +9,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scamo_lab import FITS_PRESETS, ScalingFits, load_runs
-from scamo_lab.cli import dumps, dumps_line, run
+from scamo_lab.cli import _fmt_float, dumps, dumps_line, run
 
 RUN_LINE = json.dumps(
     {
@@ -54,6 +56,96 @@ def test_dumps_formats():
 
 def test_dumps_preserves_key_order():
     assert dumps_line({"b": 1, "a": 2}) == '{"b": 1, "a": 2}'
+
+
+def _write_json(obj, out: list[str], indent: int | None, depth: int) -> None:
+    """The reference writer: the list-appending one the string-returning writer replaced."""
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_fmt_float(float(obj)))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, (dict, list, tuple, np.ndarray)):
+        if isinstance(obj, dict):
+            brackets = "{}"
+            items = [(json.dumps(str(key)) + ": ", value) for key, value in obj.items()]
+        else:
+            brackets = "[]"
+            items = [("", v) for v in (obj.tolist() if isinstance(obj, np.ndarray) else obj)]
+        if not items:
+            out.append(brackets)
+            return
+        sep, pad, close = ", ", "", brackets[1]
+        if indent is not None:
+            sep = ","
+            pad = "\n" + " " * (indent * (depth + 1))
+            close = "\n" + " " * (indent * depth) + brackets[1]
+        for k, (prefix, value) in enumerate(items):
+            out.append((brackets[0] if k == 0 else sep) + pad + prefix)
+            _write_json(value, out, indent, depth + 1)
+        out.append(close)
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _reference_dumps(obj, indent):
+    out: list[str] = []
+    _write_json(obj, out, indent, 0)
+    return "".join(out)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=3)
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    FINITE, st.sampled_from([-0.0, 5e-324, 2.2250738585072009e-308, 14.0, 1e22]),
+    FINITE.map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.text(),  # non-ASCII too
+    hnp.arrays(np.float64, SHAPES, elements=FINITE), hnp.arrays(np.int64, SHAPES),
+    hnp.arrays(np.bool_, SHAPES),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(JSON_VALUES)
+def test_writer_matches_the_reference_byte_for_byte(obj):
+    for indent in (2, 4):
+        assert dumps(obj, indent) == _reference_dumps(obj, indent)
+    assert dumps_line(obj) == _reference_dumps(obj, None)
+
+
+def test_writer_takes_numpy_bools_and_0d_arrays():
+    # the reference raised on both: "cannot serialize bool" and "'int' object is not iterable"
+    assert dumps_line([np.bool_(True), np.array(7), np.array(0.5), np.array(False)]) == (
+        "[true, 7, 0.5, false]")
+    assert dumps({"a": np.array(1.5)}) == '{\n  "a": 1.5\n}'
+
+
+@pytest.mark.parametrize("value", [np.longdouble(1.5), np.clongdouble(1.0)])
+def test_writer_refuses_numpy_scalars_with_no_python_value(value):
+    # tolist keeps these as numpy scalars; the reference printed a longdouble as a float
+    with pytest.raises(TypeError, match=f"^cannot serialize {type(value).__name__}$"):
+        dumps_line([value])
+
+
+@pytest.mark.parametrize("value", [float("nan"), -math.inf, np.float64(math.inf), np.float32("nan"),
+                                   np.array([0.0, math.inf]), np.array(math.nan)])
+def test_writer_refuses_non_finite_floats(value):
+    for write in (dumps, dumps_line):
+        with pytest.raises(ValueError, match="cannot serialize non-finite float"):
+            write({"x": [value]})
 
 
 def test_flops_subcommand_frozen_output(invoke):
@@ -129,10 +221,29 @@ def test_fsq_non_numbers_are_one_error_line(invoke, action):
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and want in err
 
 
-@pytest.mark.parametrize("latents", ["[true, false]", '["0.4", "-1.2"]'])
+@pytest.mark.parametrize("latents", ["[true, false]", '["0.4", "-1.2"]', "[true, 0.5]"])
 def test_fsq_quantize_refuses_bools_and_strings(invoke, latents):
     code, out, err = invoke(["fsq", "quantize", "--levels", "8,5"], stdin=latents)
     assert (code, out, err) == (1, "", "error: latents must be real numbers\n")
+
+
+@pytest.mark.parametrize(
+    "action, stdin, message",
+    [
+        ("quantize", "[[0.5, 1.0], [2.0]]", "latents must be real numbers"),
+        ("dequantize", "[[1, 2], [3]]", "codes must be integers"),
+        ("encode", "[[1, 2], 3]", "codes must be integers"),
+        ("decode", "[[1], 2]", "index must be integers"),
+        # numpy would read the bool as 1
+        ("dequantize", "[[true, 2]]", "codes must be integers"),
+        ("decode", "[0, false]", "index must be integers"),
+    ],
+    ids=["quantize-ragged", "dequantize-ragged", "encode-ragged", "decode-ragged",
+         "dequantize-bool", "decode-bool"],
+)
+def test_fsq_ragged_or_bool_in_a_list_gets_the_array_rule(invoke, action, stdin, message):
+    code, out, err = invoke(["fsq", action, "--levels", "8,5"], stdin=stdin)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_fsq_usage_errors(invoke):
@@ -464,19 +575,13 @@ def test_synth_output_loads(invoke):
 def test_synth_seed_resolution(invoke, monkeypatch):
     argv = ["synth", "--grid-min", "15.0", "--grid-max", "16.0", "--grid-points", "2",
             "--noise", "0.05"]
-    monkeypatch.delenv("SCAMO_LAB_SEED", raising=False)
     _, default_out, _ = invoke(argv)
-    monkeypatch.setenv("SCAMO_LAB_SEED", "42")
-    _, env42_out, _ = invoke(argv)
-    assert env42_out == default_out  # 42 is the default seed
-    monkeypatch.setenv("SCAMO_LAB_SEED", "43")
-    _, env43_out, _ = invoke(argv)
-    assert env43_out != default_out
     _, flag_out, _ = invoke(argv + ["--seed", "42"])
-    assert flag_out == default_out  # --seed wins over the env var
-    monkeypatch.setenv("SCAMO_LAB_SEED", "not-a-number")
-    code, _, err = invoke(argv)
-    assert code == 1 and "SCAMO_LAB_SEED" in err
+    assert flag_out == default_out  # 42 is the default seed
+    _, other_out, _ = invoke(argv + ["--seed", "43"])
+    assert other_out != default_out
+    monkeypatch.setenv("SCAMO_LAB_SEED", "43")  # no environment variable moves the default
+    assert invoke(argv) == (0, default_out, "")
 
 
 def test_synth_to_fit_pipe_noiseless(invoke):

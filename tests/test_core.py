@@ -151,8 +151,15 @@ def test_load_runs_rejects_counts_past_float_range(overrides):
     with pytest.raises(RunLogError) as err:
         load_runs(line_of({**GOOD, **overrides}))
     (name,) = set(overrides) - {"flops"}
-    name = {"vocab_size": "n_vocab"}.get(name, name)  # checked by ModelConfig, as n_vocab
     assert err.value.errors == [(1, f"{name} must be an integer in [1, {2**63 - 1}], got {HUGE}")]
+
+
+@pytest.mark.parametrize("vocab_size", [0, True, "n_vocab 8"])
+def test_load_runs_names_vocab_size_as_the_log_does(vocab_size):
+    with pytest.raises(RunLogError) as err:
+        load_runs(line_of({**GOOD, "vocab_size": vocab_size}))
+    assert err.value.errors == [
+        (1, f"vocab_size must be an integer in [1, {2**63 - 1}], got {vocab_size!r}")]
 
 
 def test_load_runs_rejects_infinite_filled_flops():

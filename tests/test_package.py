@@ -223,7 +223,7 @@ ARRAYS = [
     ("vq_reset", "batch", "finite", "(n, 2)", np.zeros((4, 2)),
      lambda v: scamo_lab.vq_reset(CODEBOOK, v, PARAMS)),
     ("commitment_loss.z", "z", "finite", "(n,)", np.zeros(2),
-     lambda v: scamo_lab.commitment_loss(v, np.zeros(np.shape(v)), 1.0)),
+     lambda v: scamo_lab.commitment_loss(v, np.zeros(2), 1.0)),  # v fails before z_hat
     ("commitment_loss.z_hat", "z_hat", "finite", "(2,)", np.zeros(2),
      lambda v: scamo_lab.commitment_loss(np.zeros(2), v, 1.0)),
     ("fit_power_law.xs", "xs", "positive", "(n,)", np.ones(3),
@@ -258,11 +258,21 @@ def _with_first(array, value):
     return out
 
 
+def _ragged(array):
+    """array as nested lists, its last item nested one level deeper than the others."""
+    out = array.tolist()
+    out[-1] = [out[-1]]
+    return out
+
+
 def _array_cases():
     for entry, name, rule, shape, good, build in ARRAYS:
         integer = rule not in OUT_OF_RANGE
+        kind = "must be integers" if integer else "must be real numbers"
         cases = {"empty": (good[:0], f"must have shape {shape}, got {good[:0].shape}"),
-                 "[{}]": ([{}], "must be integers" if integer else "must be real numbers")}
+                 "[{}]": ([{}], kind), "ragged": (_ragged(good), kind),
+                 # numpy would read the bool as 1 in an int or float array
+                 "bool in a list": (_with_first(good.astype(object), True).tolist(), kind)}
         if entry not in ANY_SHAPE:
             bad = good[..., None]
             cases["shape"] = (bad, f"must have shape {shape}, got {bad.shape}")
