@@ -25,7 +25,8 @@ import warnings
 
 import numpy as np
 
-from .core import RunRecord, load_runs, codebook_metrics, CodeUsageHistogram
+from .core import (RUN_FIELDS, _CHUNK_ROWS, RunTable, load_runs, codebook_metrics,
+                   CodeUsageHistogram)
 from .flops import ModelConfig, flops_per_token_exact
 from .fsq import (
     LEVEL_PRESETS,
@@ -138,8 +139,20 @@ def _load_csv_matrix(path: str, name: str) -> np.ndarray:
     return matrix
 
 
-def _run_lines(records: list[RunRecord]) -> str:
-    return "\n".join(dumps_line(r.to_dict()) for r in records) + "\n"
+_RUN_LINE = "{" + ", ".join(f'"{name}": %s' for name in RUN_FIELDS) + "}\n"
+
+
+def _run_lines(runs: RunTable) -> str:
+    """The runs as JSONL, each line dumps_line(run.to_dict()), formatted column by column a
+    chunk of rows at a time, so that only one chunk's values are Python objects at once."""
+    parts = []
+    for start in range(0, len(runs), _CHUNK_ROWS):
+        chunk = runs[start:start + _CHUNK_ROWS]
+        columns = [map(json.dumps, chunk.run_id)]
+        columns += [map(str, getattr(chunk, name).tolist()) for name in RUN_FIELDS[1:7]]
+        columns += [map(_fmt_float, getattr(chunk, name).tolist()) for name in RUN_FIELDS[7:]]
+        parts.append("".join(map(_RUN_LINE.__mod__, zip(*columns))))
+    return "".join(parts) or "\n"  # no runs: one empty line
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +237,8 @@ def _frontier_rows(args) -> list:
 def _cmd_frontier(args) -> tuple[str, dict[str, str]]:
     """The frontier JSON text, plus the table of its numeric columns keyed by
     the --csv path when one is given."""
+    if args.csv is not None and args.out and os.path.realpath(args.csv) == os.path.realpath(args.out):
+        raise ValueError(f"--csv and --out name the same file {args.out!r}")
     rows = [
         {
             "flops_bucket_log10": p.flops_bucket_log10,
@@ -355,7 +370,7 @@ def run(argv: list[str] | None = None) -> int:
         if args.out:
             files[args.out] = text
         _write_files(files)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if not args.out:

@@ -8,9 +8,12 @@ approximation. Every run is costed with a feed-forward width of 4 * d_model.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import itertools
 import json
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import IO, Iterable, NamedTuple
 
@@ -24,6 +27,7 @@ __all__ = [
     "RUN_FIELDS",
     "RunRecord",
     "RunLogError",
+    "RunTable",
     "load_runs",
     "CodeUsageHistogram",
     "CodebookMetrics",
@@ -97,6 +101,7 @@ class RunRecord:
 
 # JSONL schema, in serialization order. flops is optional on input.
 RUN_FIELDS = tuple(f.name for f in dataclasses.fields(RunRecord) if f.init)
+_REAL_FIELDS = ("flops", "normalized_loss")  # float64 columns; the other six are int64
 
 
 class RunLogError(ValueError):
@@ -109,7 +114,61 @@ class RunLogError(ValueError):
         super().__init__(f"invalid run log: {head}{tail}")
 
 
-def _record_from_json(obj: object) -> RunRecord:
+class RunTable(Sequence):
+    """Runs as checked columns: run_id a list of str, the six integer fields read-only int64
+    arrays, flops and normalized_loss read-only float64 arrays, each named as its RunRecord
+    field. table[i] builds that run's RunRecord on demand and a slice is a table; a table
+    equals any sequence of equal records. RunTable(records) builds one from RunRecords."""
+
+    __slots__ = RUN_FIELDS
+
+    def __init__(self, records: Iterable[RunRecord] = ()):
+        rows = [tuple(getattr(r, name) for name in RUN_FIELDS) for r in records]
+        self._set(*(zip(*rows) if rows else [()] * len(RUN_FIELDS)))
+
+    @classmethod
+    def _of(cls, *columns) -> "RunTable":
+        """A table of columns in RUN_FIELDS order, each already checked by the caller."""
+        return cls.__new__(cls)._set(*columns)
+
+    def _set(self, run_id, *columns) -> "RunTable":
+        self.run_id = list(run_id)
+        for name, column in zip(RUN_FIELDS[1:], columns):
+            array = np.asarray(column, dtype=np.float64 if name in _REAL_FIELDS else np.int64)
+            array.flags.writeable = False
+            setattr(self, name, array)
+        return self
+
+    def __len__(self) -> int:
+        return len(self.run_id)
+
+    def __getitem__(self, index):
+        columns = [self.run_id[index], *(getattr(self, name)[index] for name in RUN_FIELDS[1:])]
+        if isinstance(index, slice):
+            return RunTable._of(*columns)
+        return RunRecord(columns[0], *(value.item() for value in columns[1:]))
+
+    def __iter__(self):
+        columns = (getattr(self, name).tolist() for name in RUN_FIELDS[1:])
+        return (RunRecord(*row) for row in zip(self.run_id, *columns))
+
+    def __eq__(self, other):
+        if isinstance(other, RunTable):
+            return self.run_id == other.run_id and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in RUN_FIELDS[1:])
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"RunTable({len(self)} runs)"
+
+
+def _row_of(obj: object) -> tuple:
+    """A parsed line's values in RUN_FIELDS order, flops None when absent."""
+    if isinstance(obj, dict) and tuple(obj) == RUN_FIELDS:
+        return tuple(obj.values())
     if not isinstance(obj, dict):
         raise ValueError("line must be a JSON object")
     unknown = sorted(set(obj) - set(RUN_FIELDS))
@@ -118,41 +177,109 @@ def _record_from_json(obj: object) -> RunRecord:
     missing = sorted(set(RUN_FIELDS) - {"flops"} - set(obj))
     if missing:
         raise ValueError(f"missing field(s): {', '.join(missing)}")
-    return RunRecord(**{"flops": None, **obj})
+    return tuple(obj.get(name) for name in RUN_FIELDS)
 
 
-def load_runs(source: IO[str] | IO[bytes] | Iterable[str] | Iterable[bytes] | str | bytes) -> list[RunRecord]:
+def _column(name: str, values: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """values as the field's array, and the mask of rows that break the field's rule, each
+    holding 1: an int (never a bool) in [1, 2**63 - 1], or for flops and normalized_loss an
+    int or float, finite and, for flops, positive."""
+    real = name in _REAL_FIELDS
+    dtype = np.float64 if real else np.int64
+    array = None
+    if set(map(type, values)) <= ({int, float} if real else {int}):  # the common case
+        with contextlib.suppress(OverflowError):  # an int past the dtype's range
+            array = np.array(values, dtype=dtype)
+    if array is None:  # a value of another type, or past range: checked one by one
+        bad = np.array([not _obeys(name, v) for v in values], dtype=bool)
+        array = np.array([1 if b else v for v, b in zip(values, bad)], dtype=dtype)
+    elif real:
+        bad = ~np.isfinite(array) | (array <= 0) if name == "flops" else ~np.isfinite(array)
+    else:
+        bad = array < 1
+    array[bad] = 1
+    return array, bad
+
+
+def _obeys(name: str, value: object) -> bool:
+    try:
+        if name in _REAL_FIELDS:
+            _check_real(name, value, "positive" if name == "flops" else "finite")
+        else:
+            _check_int(name, value, 1, _INT64_MAX)
+    except ValueError:
+        return False
+    return True
+
+
+def load_runs(source: IO[str] | IO[bytes] | Iterable[str] | Iterable[bytes] | str | bytes) -> RunTable:
     """Parse a JSONL run log in strict mode.
 
     source may be an open file, an iterable of lines, or the whole document as
     one string. Blank lines are skipped. Every malformed line is reported with
     its line number in a single RunLogError; nothing is returned unless the
     entire log is valid. run_ids must be unique. Records without flops get it
-    filled from the compute approximation.
+    filled from the compute approximation. Each line's values go into columns,
+    which are checked as arrays; only a row that breaks a rule, or has no flops,
+    is built as a RunRecord, for its error or its filled flops.
     """
     if isinstance(source, (str, bytes)):
         source = source.splitlines()
-    records: list[RunRecord] = []
     errors: list[tuple[int, str]] = []
-    first_line: dict[str, int] = {}
+    rows = _parsed(source, errors)
+    chunks = []  # a chunk's values live as Python objects only until they are checked
+    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+        chunks.append(_checked(chunk, errors))
+    run_id = [rid for ids, _, _ in chunks for rid in ids]
+    if len(set(run_id)) < len(run_id):
+        first_line: dict[str, int] = {}
+        for rid, lineno in zip(run_id, (n for _, linenos, _ in chunks for n in linenos)):
+            if (earlier := first_line.setdefault(rid, lineno)) != lineno:
+                errors.append((lineno, f"duplicate run_id {rid!r} (first on line {earlier})"))
+    if errors:
+        raise RunLogError(sorted(errors))
+    parts = [arrays for _, _, arrays in chunks] or [dict.fromkeys(RUN_FIELDS[1:], ())]
+    return RunTable._of(run_id, *(np.concatenate([p[name] for p in parts]) for name in RUN_FIELDS[1:]))
+
+
+_CHUNK_ROWS = 4096
+
+
+def _parsed(source: Iterable[str] | Iterable[bytes], errors: list[tuple[int, str]]):
+    """(line number, values) of each line that holds a run object; the error of every other
+    non-blank line goes to errors."""
     for lineno, raw in enumerate(source, start=1):
         line = raw.decode("utf-8") if isinstance(raw, bytes) else raw
         line = line.strip()
-        if not line:
-            continue
+        if line:
+            try:
+                yield lineno, _row_of(json.loads(line))
+            except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+                errors.append((lineno, str(exc) or exc.__class__.__name__))
+
+
+def _checked(chunk: list[tuple[int, tuple]], errors: list[tuple[int, str]]):
+    """The run_ids, line numbers and column arrays of the chunk's rows that obey every rule.
+
+    The rules are checked as arrays; only a row that breaks one, or has no flops, is built as
+    a RunRecord, for its error (added to errors) or its filled flops."""
+    linenos, rows = zip(*chunk)
+    columns = dict(zip(RUN_FIELDS, zip(*rows)))
+    bad = np.array([type(r) is not str or not r for r in columns["run_id"]], dtype=bool)
+    arrays = {}
+    for name in RUN_FIELDS[1:]:
+        arrays[name], flagged = _column(name, columns[name])
+        bad |= flagged
+    bad |= arrays["d_model"] % arrays["n_heads"] != 0
+    keep = np.ones(len(rows), dtype=bool)
+    for i in np.flatnonzero(bad).tolist():
         try:
-            record = _record_from_json(json.loads(line))
-        except (ValueError, TypeError) as exc:
-            msg = str(exc) or exc.__class__.__name__
-            errors.append((lineno, msg))
-            continue
-        earlier = first_line.setdefault(record.run_id, lineno)
-        if earlier != lineno:
-            errors.append((lineno, f"duplicate run_id {record.run_id!r} (first on line {earlier})"))
-        records.append(record)
-    if errors:
-        raise RunLogError(errors)
-    return records
+            arrays["flops"][i] = RunRecord(*rows[i]).flops
+        except ValueError as exc:
+            errors.append((linenos[i], str(exc)))
+            keep[i] = False
+    return ([r for r, k in zip(columns["run_id"], keep) if k],
+            [n for n, k in zip(linenos, keep) if k], {name: a[keep] for name, a in arrays.items()})
 
 
 @dataclass

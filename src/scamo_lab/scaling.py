@@ -15,7 +15,7 @@ from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .core import RunRecord
+from .core import RunRecord, RunTable
 from .flops import _check_real, _check_real_array
 
 __all__ = [
@@ -130,32 +130,39 @@ def pareto_frontier(
 
     Buckets are floor(log10(flops) / bin_width) * bin_width, and a run exactly
     on an edge k * bin_width falls in bucket k. Loss ties prefer smaller n_nv,
-    then smaller n_v, then the lexicographically smaller run_id.
+    then smaller n_v, then the lexicographically smaller run_id. runs may be a
+    RunTable or any sequence of RunRecords.
     """
     _check_real("bin_width_log10", bin_width_log10, "positive")
     if len(runs) == 0:
         raise ValueError("no runs")
-    best: dict[int, tuple[tuple, RunRecord, int, int]] = {}
-    for run in runs:
-        # log10 and the division each round, so flops exactly on an edge
-        # k * bin_width can give a quotient a few ULP short of k.
-        q = math.log10(run.flops) / bin_width_log10
-        k = round(q)
-        bucket = k if abs(q - k) <= 4 * math.ulp(q) else math.floor(q)
-        n_nv = run.n_nv()
-        n_v = run.n_v
-        key = (run.normalized_loss, n_nv, n_v, run.run_id)
-        if bucket not in best or key < best[bucket][0]:
-            best[bucket] = (key, run, n_nv, n_v)
+    table = runs if isinstance(runs, RunTable) else RunTable(runs)
+    # math.log10, not np.log10, which may differ in the last bit and move a run across an edge;
+    # log10 and the division each round, so flops exactly on an edge k * bin_width can give a
+    # quotient a few ULP short of k
+    q = np.fromiter(map(math.log10, table.flops.tolist()), np.float64, len(table))
+    with np.errstate(over="ignore"):  # a tiny bin width; refused below
+        q /= bin_width_log10
+    if not np.isfinite(q).all():
+        raise ValueError(f"bin_width_log10 {bin_width_log10!r} is too small: "
+                         "log10(flops) / bin_width_log10 overflows")
+    k = np.round(q)
+    bucket = np.where(np.abs(q - k) <= 4 * np.spacing(np.abs(q)), k, np.floor(q))
+    # rows by bucket, then loss: a bucket's winner is among the rows tied at its first loss
+    order = np.lexsort((table.normalized_loss, bucket))
+    loss, bucket = table.normalized_loss[order], bucket[order]
+    starts = np.flatnonzero(np.r_[True, bucket[1:] != bucket[:-1]]).tolist()
     frontier = []
-    for bucket in sorted(best):
-        _, run, n_nv, n_v = best[bucket]
+    for start, end in zip(starts, [*starts[1:], len(order)]):
+        tied = order[start:end][loss[start:end] == loss[start]].tolist()
+        # ties break on the exact integer counts (12 * L * d**2 can pass int64), then run_id
+        run = min(map(table.__getitem__, tied), key=lambda r: (r.n_nv(), r.n_v, r.run_id))
         frontier.append(
             FrontierPoint(
-                flops_bucket_log10=bucket * bin_width_log10,
+                flops_bucket_log10=float(bucket[start]) * bin_width_log10,
                 run=run,
-                n_nv=float(n_nv),
-                n_v=float(n_v),
+                n_nv=float(run.n_nv()),
+                n_v=float(run.n_v),
                 d_tokens=float(run.tokens_trained),
                 loss=run.normalized_loss,
             )

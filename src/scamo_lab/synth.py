@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RunRecord
-from .flops import _check_int, _check_real, _check_real_array
+from .core import RunRecord, RunTable
+from .flops import _INT64_MAX, _check_int, _check_real, _check_real_array
 from .fsq import _LATENT_EPS, FsqLevels, _logit
 from .scaling import ScalingFits
 
@@ -91,7 +91,7 @@ def config_for_params(n_nv_target: float) -> tuple[int, int, int]:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowed draws reach the checks as inf or nan
-def synth_runs(spec: SynthSpec) -> list[RunRecord]:
+def synth_runs(spec: SynthSpec) -> RunTable:
     """Generate an isoFLOPs sweep whose per-budget optimum follows spec.laws.
 
     Budget i uses an independent generator seeded with seed + i, so budgets
@@ -101,41 +101,42 @@ def synth_runs(spec: SynthSpec) -> list[RunRecord]:
     multiplicative 10**N(0, sigma) noise on the triplet and additive N(0,
     sigma) noise on the loss; siblings draw fresh perturbations and add a
     uniform loss offset of at least 0.01, so frontier extraction always
-    selects the law point. A budget or draw that overflows fails its check.
+    selects the law point. A budget or draw that overflows fails its check,
+    and the first row that breaks a run rule fails with that rule's error.
     """
-    records: list[RunRecord] = []
-    for i, x in enumerate(spec.c_grid_log10.values_log10()):
+    laws = spec.laws
+    grid, per_budget = spec.c_grid_log10.values_log10(), spec.runs_per_budget
+    run_id = [f"synth-{i:03d}-{j:02d}" for i in range(len(grid)) for j in range(per_budget)]
+    counts = np.empty((len(run_id), 6), dtype=np.int64)  # the six integer fields, row by row
+    flops, losses = np.empty(len(run_id)), np.empty(len(run_id))
+    for i, x in enumerate(grid):
         rng = np.random.default_rng(spec.seed + i)
         c = 10.0**x
+        n_v_law = laws.nv_vs_c.evaluate(c)  # the law values are the same for a whole budget
+        n_nv_law = laws.nnv_vs_c.evaluate(c)
+        d_law = laws.d_vs_c.evaluate(c)
+        flops[i * per_budget:(i + 1) * per_budget] = c
         loss_opt = 0.0
-        for j in range(spec.runs_per_budget):
+        for j, k in enumerate(range(i * per_budget, (i + 1) * per_budget)):
             shift = rng.normal(0.0, spec.noise_sigma_log10, size=3)
-            n_v = spec.laws.nv_vs_c.evaluate(c) * 10.0 ** shift[0]
-            n_nv = spec.laws.nnv_vs_c.evaluate(c) * 10.0 ** shift[1]
-            d_tokens = spec.laws.d_vs_c.evaluate(c) * 10.0 ** shift[2]
+            n_v = n_v_law * 10.0 ** shift[0]
+            n_nv = n_nv_law * 10.0 ** shift[1]
+            d_tokens = d_law * 10.0 ** shift[2]
             _check_real("n_v", n_v, "non-negative")
             _check_real("d_tokens", d_tokens, "non-negative")
             if j == 0:
-                loss = spec.laws.loss_vs_c.slope * x + spec.laws.loss_vs_c.intercept
+                loss = laws.loss_vs_c.slope * x + laws.loss_vs_c.intercept
                 loss += rng.normal(0.0, spec.noise_sigma_log10)
                 loss_opt = loss
             else:
                 loss = loss_opt + rng.uniform(0.01, 0.5)
             n_layers, n_heads, d_model = config_for_params(n_nv)
-            records.append(
-                RunRecord(
-                    run_id=f"synth-{i:03d}-{j:02d}",
-                    n_layers=n_layers,
-                    n_heads=n_heads,
-                    d_model=d_model,
-                    n_ctx=1024,
-                    vocab_size=max(1, int(math.floor(n_v / d_model + 0.5))),
-                    tokens_trained=max(1, int(math.floor(d_tokens + 0.5))),
-                    flops=c,
-                    normalized_loss=float(loss),
-                )
-            )
-    return records
+            row = (n_layers, n_heads, d_model, 1024, max(1, int(math.floor(n_v / d_model + 0.5))),
+                   max(1, int(math.floor(d_tokens + 0.5))))
+            if max(row) > _INT64_MAX or not math.isfinite(loss):
+                RunRecord(run_id[k], *row, c, float(loss))  # raises the error of the rule broken
+            counts[k], losses[k] = row, loss
+    return RunTable._of(run_id, *counts.T, flops, losses)
 
 
 def _uniform_code_latents(n: int, lv: FsqLevels, rng: np.random.Generator) -> np.ndarray:

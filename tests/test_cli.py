@@ -380,6 +380,42 @@ def test_frontier_json_and_csv(invoke, tmp_path):
     assert float(lines[1].split(",")[0]) == 1e15
 
 
+@pytest.mark.parametrize("csv", ["P", "./P"])
+def test_frontier_csv_and_out_on_one_path_is_refused(invoke, tmp_path, monkeypatch, csv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = invoke(["frontier", "--csv", csv, "--out", "P"], stdin=RUN_LINE + "\n")
+    assert (code, out) == (1, "")
+    assert err == "error: --csv and --out name the same file 'P'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_frontier_bin_width_too_small_for_the_flops_is_one_error_line(invoke):
+    code, out, err = invoke(["frontier", "--bin-width", "1e-310"], stdin=RUN_LINE + "\n")
+    assert (code, out) == (1, "")
+    assert err == ("error: bin_width_log10 1e-310 is too small: "
+                   "log10(flops) / bin_width_log10 overflows\n")
+
+
+DEEP_JSON = "[" * 5000 + "1" + "]" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--runs", "deep.json"],
+    ["fsq", "quantize", "--preset", "2^10", "--in", "deep.json"],
+    ["plan", "--flops", "1e18", "--fits", "deep.json", "--d-model", "3200"],
+    ["synth", "--laws", "deep.json"],
+], ids=["ingest", "fsq", "plan", "synth"])
+def test_json_nested_too_deep_is_one_error_line(invoke, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text(DEEP_JSON + "\n")
+    code, out, err = invoke(argv)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "maximum recursion depth exceeded" in err
+    if argv[0] == "ingest":
+        assert err.startswith("error: invalid run log: line 1: ")
+
+
 def test_fit_json_parses_as_scaling_fits(invoke):
     lines = []
     for i, x in enumerate([14.0, 15.0, 16.0, 17.0]):

@@ -177,6 +177,14 @@ def test_load_runs_rejects_duplicate_run_id():
     assert err.value.errors == [(3, "duplicate run_id 'run-1' (first on line 1)")]
 
 
+def test_load_runs_reports_json_nested_too_deep_on_its_line():
+    deep = "[" * 5000 + "1" + "]" * 5000
+    with pytest.raises(RunLogError) as err:
+        load_runs("\n".join([line_of(GOOD), deep, '{"a": ' * 5000 + "1" + "}" * 5000]))
+    assert [n for n, _ in err.value.errors] == [2, 3]
+    assert all("maximum recursion depth exceeded" in msg for _, msg in err.value.errors)
+
+
 def test_load_runs_empty_input():
     assert load_runs("") == []
     assert load_runs("\n   \n") == []

@@ -12,7 +12,7 @@ import scamo_lab
 
 EXPORTS = {
     # core
-    "MODEL_SHAPE_PRESETS", "RUN_FIELDS", "RunRecord", "RunLogError", "load_runs",
+    "MODEL_SHAPE_PRESETS", "RUN_FIELDS", "RunRecord", "RunLogError", "RunTable", "load_runs",
     "CodeUsageHistogram", "CodebookMetrics", "codebook_metrics",
     # flops
     "ModelConfig", "FlopsBreakdown", "flops_per_token_exact", "params_non_embedding",
