@@ -216,15 +216,16 @@ def load_runs(source: IO[str] | IO[bytes] | Iterable[str] | Iterable[bytes] | st
     """Parse a JSONL run log in strict mode.
 
     source may be an open file, an iterable of lines, or the whole document as
-    one string. Blank lines are skipped. Every malformed line is reported with
-    its line number in a single RunLogError; nothing is returned unless the
-    entire log is valid. run_ids must be unique. Records without flops get it
-    filled from the compute approximation. Each line's values go into columns,
-    which are checked as arrays; only a row that breaks a rule, or has no flops,
-    is built as a RunRecord, for its error or its filled flops.
+    one string or bytes, split at "\n" only, as a binary file is. Blank lines
+    are skipped. Every malformed line is reported with its line number in a
+    single RunLogError; nothing is returned unless the entire log is valid.
+    run_ids must be unique. Records without flops get it filled from the
+    compute approximation. Each line's values go into columns, which are
+    checked as arrays; only a row that breaks a rule, or has no flops, is built
+    as a RunRecord, for its error or its filled flops.
     """
     if isinstance(source, (str, bytes)):
-        source = source.splitlines()
+        source = source.split("\n" if isinstance(source, str) else b"\n")
     errors: list[tuple[int, str]] = []
     rows = _parsed(source, errors)
     chunks = []  # a chunk's values live as Python objects only until they are checked

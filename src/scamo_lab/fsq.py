@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 _LATENT_EPS = 1e-6  # latents for endpoint codes stay this far inside (0, 1) before the logit
+_MAX_LEVEL = 2**52  # quantize rounds in float64: floor(x + 0.5) is exact only for x < 2**52
+_BLOCK_ROWS = 8192  # rows per kernel block: a (8192, 6) float64 block buffer is 384 KB
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ class FsqLevels:
         if len(self.levels) == 0:
             raise ValueError("levels must be non-empty")
         for lv in self.levels:
-            _check_int("every level count", lv, minimum=2)
+            _check_int("every level count", lv, minimum=2, maximum=_MAX_LEVEL)
         if math.prod(self.levels) > _INT64_MAX:  # flat indices are int64
             raise ValueError("codebook size exceeds the exact int64 range")
 
@@ -82,10 +84,13 @@ def codebook_size(levels: FsqLevels | Sequence[int]) -> int:
     return math.prod(_levels_of(levels).levels)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-z)); an overflowing exp gives exactly 0, as it should."""
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-z)), into out if given; an overflowing exp gives exactly 0, as it should."""
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
+        out = np.negative(z, out=out)
+        np.exp(out, out=out)
+        out += 1.0
+        return np.divide(1.0, out, out=out)
 
 
 def _logit(v: np.ndarray) -> np.ndarray:
@@ -101,16 +106,31 @@ def _rows(lv: FsqLevels):
     return lambda ndim: (lv.dimension,) if ndim == 1 else (None, lv.dimension)
 
 
+def _blocks(n: int):
+    """Slices of at most _BLOCK_ROWS rows that cover range(n) in order."""
+    return (slice(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS))
+
+
 def fsq_quantize(z, levels: FsqLevels | Sequence[int]) -> np.ndarray:
     """Quantize latents to 1-based codes: q_i = 1 + round(sigmoid(z_i) * (levels[i] - 1)).
 
     Rounding is half away from zero: the scaled sigmoid is never negative, so it is
-    floor(x + 0.5). Returns int64 codes with the input shape.
+    floor(x + 0.5). Returns int64 codes with the input shape. Works _BLOCK_ROWS rows at a
+    time in one reused float64 buffer.
     """
     lv = _levels_of(levels)
     z = _check_real_array("latents", z, _rows(lv))
     spans = np.asarray(lv.levels, dtype=np.float64) - 1.0
-    return (1 + np.floor(_sigmoid(z) * spans + 0.5)).astype(np.int64)
+    out = np.empty_like(z, dtype=np.int64)  # in the latents' memory order, as a ufunc's output
+    rows, codes = z.reshape(-1, lv.dimension), out.reshape(-1, lv.dimension)
+    buffer = np.empty((min(len(rows), _BLOCK_ROWS), lv.dimension))
+    for block in _blocks(len(rows)):
+        x, c = _sigmoid(rows[block], out=buffer[:block.stop - block.start]), codes[block]
+        x *= spans
+        x += 0.5
+        np.floor(x, out=c, casting="unsafe")  # floored in float64, then cast: exact
+        c += 1
+    return out
 
 
 def fsq_dequantize(q, levels: FsqLevels | Sequence[int]) -> np.ndarray:
@@ -125,22 +145,44 @@ def fsq_encode_index(q, levels: FsqLevels | Sequence[int]) -> int | np.ndarray:
     """Flatten a code vector to its mixed-radix index, channel 0 least significant.
 
     index = sum_i (q_i - 1) * prod_{j<i} levels[j]. A single code vector gives
-    a Python int; a batch gives an int64 array.
+    a Python int; a batch gives an int64 array. Horner's rule from the last
+    channel, _BLOCK_ROWS rows at a time; every partial sum stays below
+    prod(levels), so none overflows int64.
     """
     lv = _levels_of(levels)
     q = _check_int_array("codes", q, _rows(lv), 1, lv.levels)
-    idx = np.ravel_multi_index(tuple((q - 1).T[::-1]), lv.levels[::-1])
-    return int(idx) if q.ndim == 1 else idx
+    rows = q.reshape(-1, lv.dimension)
+    out = np.empty(len(rows), dtype=np.int64)
+    for block in _blocks(len(rows)):
+        acc, c = out[block], rows[block]
+        np.subtract(c[:, -1], 1, out=acc)
+        for i in range(lv.dimension - 2, -1, -1):
+            acc *= lv.levels[i]
+            acc -= 1
+            acc += c[:, i]
+    return int(out[0]) if q.ndim == 1 else out
 
 
 def fsq_decode_index(index, levels: FsqLevels | Sequence[int]) -> np.ndarray:
-    """Invert fsq_encode_index: flat index back to the 1-based code vector."""
+    """Invert fsq_encode_index: flat index back to the 1-based code vector.
+
+    Channel by channel from channel 0, _BLOCK_ROWS indices at a time: divmod
+    by the level count leaves the channel's code and the remainder to divide on.
+    """
     lv = _levels_of(levels)
     idx = _check_int_array("index", index, lambda ndim: () if ndim == 0 else (None,), 0,
                            codebook_size(lv) - 1)
-    codes = np.stack(np.unravel_index(idx, lv.levels[::-1])[::-1], axis=-1)
-    codes += 1
-    return codes
+    out = np.empty(idx.shape + (lv.dimension,), dtype=np.int64)
+    flat, codes = idx.reshape(-1), out.reshape(-1, lv.dimension)
+    remainder = np.empty(min(len(flat), _BLOCK_ROWS), dtype=np.int64)
+    for block in _blocks(len(flat)):
+        rem, c = remainder[:block.stop - block.start], codes[block]
+        np.copyto(rem, flat[block])
+        for i, level in enumerate(lv.levels[:-1]):
+            np.divmod(rem, level, out=(rem, c[:, i]))
+        c[:, -1] = rem  # below the last level count once the others are divided out
+        c += 1
+    return out
 
 
 class SteForward(NamedTuple):

@@ -52,7 +52,7 @@ def build_prefix_mask(t_text: int, t_motion: int) -> PrefixMask:
         raise ValueError("empty sequence: t_text + t_motion must be positive")
     allowed = np.zeros((total, total), dtype=bool)
     allowed[:, :t_text] = True
-    allowed[t_text:, t_text:] = np.tril(np.ones((t_motion, t_motion), dtype=bool))
+    allowed[t_text:, t_text:] = np.tri(t_motion, dtype=bool)
     return PrefixMask(t_text=t_text, t_motion=t_motion, allowed=allowed)
 
 

@@ -213,6 +213,12 @@ def test_fsq_errors(invoke):
     assert code == 1 and "index must be integers in [0, 39]" in err
 
 
+def test_fsq_level_count_past_float64_rounding_is_one_error_line(invoke):
+    code, out, err = invoke(["fsq", "quantize", "--levels", str(2**63 - 1)], stdin="[50.0]")
+    assert (code, out) == (1, "")
+    assert err == f"error: every level count must be an integer in [2, {2**52}], got {2**63 - 1}\n"
+
+
 @pytest.mark.parametrize("action", ["quantize", "dequantize", "encode", "decode"])
 def test_fsq_non_numbers_are_one_error_line(invoke, action):
     code, out, err = invoke(["fsq", action, "--levels", "8,5"], stdin="[{}]")

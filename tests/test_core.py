@@ -90,6 +90,18 @@ def test_load_runs_from_string_and_bytes_and_file():
         assert [r.run_id for r in runs] == ["run-1", "run-2"]
 
 
+def test_load_runs_splits_text_at_newlines_only():
+    """A raw U+2028 inside a run_id is part of its line, from a string, bytes or a file."""
+    first = line_of(GOOD).replace("run-1", "run\u20281", 1)
+    doc = first + "\r\n" + line_of({**GOOD, "run_id": "b"})
+    assert "\u2028" in doc and len(doc.splitlines()) == 3
+    for source in (doc, doc.encode(), io.BytesIO(doc.encode()), io.StringIO(doc)):
+        assert [r.run_id for r in load_runs(source)] == ["run\u20281", "b"]
+    with pytest.raises(RunLogError) as err:  # a lone carriage return does not end a line
+        load_runs(line_of(GOOD) + "\r" + line_of({**GOOD, "run_id": "b"}))
+    assert [lineno for lineno, _ in err.value.errors] == [1]
+
+
 def test_load_runs_fills_missing_flops():
     obj = {k: v for k, v in GOOD.items() if k != "flops"}
     runs = load_runs(line_of(obj))

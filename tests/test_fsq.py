@@ -53,6 +53,23 @@ def test_levels_validation():
         FsqLevels((2,) * 64)  # 2**64 codes overflow the exact index range
 
 
+@pytest.mark.parametrize("level", [2**52 + 2, 2**53, 2**60 + 1000, 2**63 - 1])
+def test_level_counts_past_float64_rounding_are_refused(level):
+    """Quantize rounds in float64: past 2**52 levels, 50.0 could get a code above the count."""
+    with pytest.raises(ValueError) as err:
+        FsqLevels((level,))
+    assert str(err.value) == f"every level count must be an integer in [2, {2**52}], got {level}"
+
+
+@pytest.mark.parametrize("level", [2**52, 2**52 - 1, 2**51 + 1])
+def test_codes_stay_in_range_up_to_the_level_cap(level):
+    z = np.array([[50.0], [800.0], [0.0], [1e-9], [-50.0]])
+    q = fsq_quantize(z, (level,))
+    assert q[:2, 0].tolist() == [level, level] and q[-1, 0] == 1
+    assert ((q >= 1) & (q <= level)).all()
+    assert fsq_decode_index(fsq_encode_index(q, (level,)), (level,)).tolist() == q.tolist()
+
+
 def test_quantize_at_zero():
     # sigmoid(0) = 0.5: L=5 lands on the center level, L=8 on 0.5*7 = 3.5
     # which rounds half away from zero up to code 5.

@@ -1,0 +1,152 @@
+"""The blocked FSQ kernels against the whole-array forms they replaced.
+
+The references below are `fsq_quantize`, `fsq_encode_index` and
+`fsq_decode_index` as they were before the kernels walked rows in blocks of
+`_BLOCK_ROWS`: one full-size temporary per op, `np.ravel_multi_index` and
+`np.unravel_index`. The kernels must give equal arrays (dtype, shape and
+C-contiguity included) and the same error text, on every layout of input.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from scamo_lab import codebook_size, fsq_decode_index, fsq_encode_index, fsq_quantize
+from scamo_lab.flops import _check_int_array, _check_real_array
+from scamo_lab.fsq import _BLOCK_ROWS, _MAX_LEVEL, _levels_of, _rows
+
+# ---------------------------------------------------------------------------
+# references: the whole-array kernels
+
+
+def reference_quantize(z, levels):
+    lv = _levels_of(levels)
+    z = _check_real_array("latents", z, _rows(lv))
+    spans = np.asarray(lv.levels, dtype=np.float64) - 1.0
+    with np.errstate(over="ignore"):
+        sigmoid = 1.0 / (1.0 + np.exp(-z))
+    return (1 + np.floor(sigmoid * spans + 0.5)).astype(np.int64)
+
+
+def reference_encode(q, levels):
+    lv = _levels_of(levels)
+    q = _check_int_array("codes", q, _rows(lv), 1, lv.levels)
+    idx = np.ravel_multi_index(tuple((q - 1).T[::-1]), lv.levels[::-1])
+    return int(idx) if q.ndim == 1 else idx
+
+
+def reference_decode(index, levels):
+    lv = _levels_of(levels)
+    idx = _check_int_array("index", index, lambda ndim: () if ndim == 0 else (None,), 0,
+                           codebook_size(lv) - 1)
+    codes = np.stack(np.unravel_index(idx, lv.levels[::-1])[::-1], axis=-1)
+    codes += 1
+    return codes
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+B = _BLOCK_ROWS
+ROW_COUNTS = [None, 1, 2, B - 1, B, B + 1, 2 * B + 1]  # None: one vector of shape (dim,)
+LAYOUTS = ["contiguous", "transposed", "strided", "narrow", "list"]
+SPECIALS = [np.inf, -np.inf, 800.0, -800.0, np.nan, 0.0]
+WIDE_LEVELS = [(3037000499, 3037000499), (2, 3037000499, 3037000499 // 2),
+               (_MAX_LEVEL, 2047), (_MAX_LEVEL,), (2**52 - 1, 3)]
+
+
+def _layout(a: np.ndarray, how: str):
+    """The values of a, laid out as how says: a transposed or strided view, a narrower dtype
+    (float32 for latents, int32 for codes and indices that fit it) or a nested list."""
+    if how == "transposed":
+        return a.T.copy().T
+    if how == "strided":
+        wide = np.zeros(tuple(2 * n for n in a.shape), dtype=a.dtype)
+        view = wide[tuple(slice(None, None, 2) for _ in a.shape)]
+        view[...] = a
+        return view
+    if how == "narrow" and (a.dtype.kind == "f" or np.abs(a).max() <= np.iinfo(np.int32).max):
+        return a.astype(np.float32 if a.dtype.kind == "f" else np.int32)
+    return a.tolist() if how == "list" else a
+
+
+def _copy(value):
+    return value.copy() if isinstance(value, np.ndarray) else value
+
+
+def _same(kernel, reference, value, levels):
+    """kernel and reference agree on value: equal results or the same ValueError text. Neither
+    changes its input. Returns the result, or None on an error."""
+    before = _copy(value)
+    try:
+        want = reference(value, levels)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            kernel(value, levels)
+        assert str(err.value) == str(exc)
+        return None
+    got = kernel(value, levels)
+    assert np.array_equal(np.asarray(value), np.asarray(before))
+    if isinstance(want, int):
+        assert type(got) is int and got == want
+    else:
+        assert (got.dtype, got.shape, got.flags.c_contiguous) == (
+            want.dtype, want.shape, want.flags.c_contiguous)
+        assert np.array_equal(got, want)
+    return got
+
+
+@st.composite
+def fsq_cases(draw):
+    levels = draw(st.one_of(
+        st.lists(st.integers(2, 9), min_size=1, max_size=8),
+        st.lists(st.integers(2, 2**21), min_size=1, max_size=8)
+        .filter(lambda lv: math.prod(lv) <= 2**63 - 1),
+        st.sampled_from(WIDE_LEVELS),
+    ))
+    rows = draw(st.sampled_from(ROW_COUNTS))
+    layout = draw(st.sampled_from(LAYOUTS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (len(levels),) if rows is None else (rows, len(levels))
+    z = rng.normal(0.0, draw(st.sampled_from([0.5, 3.0, 40.0])), size=shape)
+    flat = z.reshape(-1)
+    for _ in range(draw(st.integers(0, 3))):
+        flat[draw(st.integers(0, flat.size - 1))] = draw(st.sampled_from(SPECIALS))
+    return tuple(levels), z, layout, draw(st.sampled_from([None, "low", "high"])), rng
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(fsq_cases())
+def test_kernels_match_the_whole_array_references(case):
+    levels, z, layout, out_of_range, rng = case
+    q = _same(fsq_quantize, reference_quantize, _layout(z, layout), levels)
+    if q is None:
+        assert not np.isfinite(z).all()  # only a NaN or an infinity is refused
+        return
+    assert q.min() >= 1 and (q <= np.asarray(levels)).all()
+
+    q = q.copy()
+    q.reshape(-1, len(levels))[-1] = levels  # the largest code: index prod(levels) - 1
+    if out_of_range is not None:
+        row = q.reshape(-1, len(levels))[0]
+        channel = int(rng.integers(len(levels)))
+        row[channel] = 0 if out_of_range == "low" else levels[channel] + 1
+    idx = _same(fsq_encode_index, reference_encode, _layout(q, layout), levels)
+    if out_of_range is not None:
+        assert idx is None
+        return
+    assert np.asarray(idx).reshape(-1)[-1] == math.prod(levels) - 1
+
+    idx = np.asarray(idx, dtype=np.int64)  # a single vector's index is 0-d
+    codes = _same(fsq_decode_index, reference_decode, _layout(idx, layout), levels)
+    assert np.array_equal(codes, q)
+
+
+@pytest.mark.parametrize("index", [-1, "size"])
+def test_decode_out_of_range_index_matches_the_reference(index):
+    levels = (8, 5, 5)
+    index = codebook_size(levels) if index == "size" else index
+    for value in (index, np.array([0, index]), [[index]]):
+        assert _same(fsq_decode_index, reference_decode, value, levels) is None

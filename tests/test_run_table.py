@@ -51,7 +51,7 @@ def _record_from_json(obj):
 
 def reference_load_runs(source):
     if isinstance(source, (str, bytes)):
-        source = source.splitlines()
+        source = source.split("\n" if isinstance(source, str) else b"\n")
     records, errors, first_line = [], [], {}
     for lineno, raw in enumerate(source, start=1):
         line = raw.decode("utf-8") if isinstance(raw, bytes) else raw
