@@ -104,6 +104,14 @@ def _read_text(path: str | None) -> str:
         return fh.read()
 
 
+def _read_runs(path: str | None) -> RunTable:
+    """load_runs of the run log at path, or of stdin, read as bytes: both split at "\n" only."""
+    if path is None or path == "-":
+        return load_runs(sys.stdin.buffer)
+    with open(path, "rb") as fh:
+        return load_runs(fh)
+
+
 def _parse_levels(args) -> FsqLevels:
     if args.preset is not None:
         if args.preset not in LEVEL_PRESETS:
@@ -226,11 +234,11 @@ def _not_float(cell: str) -> bool:
 
 
 def _cmd_ingest(args) -> str:
-    return _run_lines(load_runs(_read_text(args.runs)))
+    return _run_lines(_read_runs(args.runs))
 
 
 def _frontier_rows(args) -> list:
-    runs = load_runs(_read_text(args.runs))
+    runs = _read_runs(args.runs)
     return pareto_frontier(runs, bin_width_log10=args.bin_width)
 
 

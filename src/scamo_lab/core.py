@@ -1,4 +1,4 @@
-"""Run-log records, model shape presets, and codebook usage metrics.
+"""Run-log records and codebook usage metrics.
 
 Training runs travel as JSONL, one object per line, with the fields of
 RunRecord. Loading is strict: any malformed line fails the whole load, and
@@ -23,7 +23,6 @@ from .flops import (_INT64_MAX, ModelConfig, _check_int, _check_int_array, _chec
                     flops_approx, params_non_embedding)
 
 __all__ = [
-    "MODEL_SHAPE_PRESETS",
     "RUN_FIELDS",
     "RunRecord",
     "RunLogError",
@@ -33,17 +32,6 @@ __all__ = [
     "CodebookMetrics",
     "codebook_metrics",
 ]
-
-# Published model shapes: name -> (n_layers, n_heads, d_model).
-MODEL_SHAPE_PRESETS: dict[str, tuple[int, int, int]] = {
-    "scamo-44m": (8, 8, 512),
-    "scamo-111m": (12, 12, 768),
-    "scamo-343m": (24, 16, 1024),
-    "scamo-775m": (36, 20, 1280),
-    "scamo-1.4b": (48, 24, 1536),
-    "scamo-3b": (24, 32, 3200),
-}
-
 
 @dataclass(frozen=True, slots=True)
 class RunRecord:
@@ -250,13 +238,12 @@ def _parsed(source: Iterable[str] | Iterable[bytes], errors: list[tuple[int, str
     """(line number, values) of each line that holds a run object; the error of every other
     non-blank line goes to errors."""
     for lineno, raw in enumerate(source, start=1):
-        line = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-        line = line.strip()
-        if line:
-            try:
+        try:  # a line that is not UTF-8 is a ValueError too
+            line = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).strip()
+            if line:
                 yield lineno, _row_of(json.loads(line))
-            except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-                errors.append((lineno, str(exc) or exc.__class__.__name__))
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+            errors.append((lineno, str(exc) or exc.__class__.__name__))
 
 
 def _checked(chunk: list[tuple[int, tuple]], errors: list[tuple[int, str]]):

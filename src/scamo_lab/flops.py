@@ -19,7 +19,6 @@ __all__ = [
     "FlopsBreakdown",
     "flops_per_token_exact",
     "params_non_embedding",
-    "params_vocab",
     "flops_approx",
 ]
 
@@ -197,13 +196,6 @@ def params_non_embedding(cfg: ModelConfig) -> int:
     At ff_ratio 4 this reduces to 12 * n_layers * d_model**2.
     """
     return 2 * cfg.d_model * cfg.n_layers * (2 * cfg.d_attn * cfg.n_heads + cfg.d_ff)
-
-
-def params_vocab(vocab_size: int, d_model: int) -> int:
-    """Vocabulary parameter count N_v = vocab_size * d_model."""
-    _check_int("vocab_size", vocab_size)
-    _check_int("d_model", d_model)
-    return vocab_size * d_model
 
 
 def flops_approx(n_nv: float, n_v: float, d_tokens: float) -> float:

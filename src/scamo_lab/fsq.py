@@ -28,7 +28,6 @@ __all__ = [
     "fsq_decode_index",
     "fsq_ste_forward",
     "SteForward",
-    "latent_for_code",
 ]
 
 _LATENT_EPS = 1e-6  # latents for endpoint codes stay this far inside (0, 1) before the logit
@@ -202,11 +201,3 @@ def fsq_ste_forward(z, levels: FsqLevels | Sequence[int]) -> SteForward:
     value = fsq_dequantize(fsq_quantize(z, lv), lv)
     s = _sigmoid(z)
     return SteForward(value=value, surrogate_jacobian_diag=s * (1.0 - s))
-
-
-def latent_for_code(q, levels: FsqLevels | Sequence[int]) -> np.ndarray:
-    """A latent that quantizes to q: logit of the level center, clamped into
-    (_LATENT_EPS, 1 - _LATENT_EPS) so the endpoint codes stay finite."""
-    lv = _levels_of(levels)
-    v = np.clip(fsq_dequantize(q, lv), _LATENT_EPS, 1.0 - _LATENT_EPS)
-    return _logit(v)

@@ -22,12 +22,10 @@ __all__ = [
     "ReferenceSelection",
     "BudgetPlan",
     "VocabForModel",
-    "flops_for_loss",
     "nearest_power_of_two",
     "plan_budget",
     "consistency_report",
     "vocab_for_model",
-    "scale_faster_report",
 ]
 
 
@@ -63,17 +61,6 @@ REFERENCE_PRESETS: dict[str, ReferenceSelection] = {
 }
 
 CONSISTENCY_TOLERANCE_LOG10 = 0.35
-
-
-def flops_for_loss(target_loss: float, law: LogLawFit) -> float:
-    """Invert the log law: the budget at which it predicts target_loss; inf past float range."""
-    _check_real("target_loss", target_loss)
-    if law.slope == 0.0:
-        raise ValueError("log law with zero slope cannot be inverted")
-    try:
-        return 10.0 ** ((target_loss - law.intercept) / law.slope)
-    except OverflowError:
-        return math.inf
 
 
 def nearest_power_of_two(n: int) -> int:
@@ -188,24 +175,3 @@ def vocab_for_model(n_nv: float, law: PowerLawFit, d_model: int) -> VocabForMode
     n_v = law.evaluate(n_nv)
     vocab = _vocab_size(n_v, d_model)
     return VocabForModel(n_v=n_v, vocab_size=vocab, vocab_pow2=nearest_power_of_two(vocab))
-
-
-def scale_faster_report(fits: ScalingFits) -> dict:
-    """Relative growth exponents across the three compute laws.
-
-    nv_vs_nnv_exponent = a/b is how fast vocab params grow per unit growth of
-    non-vocab params; d_vs_nnv_exponent = b/c compares non-vocab params to
-    data. The verdicts say whether each ratio exceeds 1.
-    """
-    a = fits.nv_vs_c.exponent
-    b = fits.nnv_vs_c.exponent
-    c = fits.d_vs_c.exponent
-    if b == 0.0 or c == 0.0:
-        raise ValueError("exponent ratios need nonzero denominators")
-    nv_vs_nnv = a / b
-    d_vs_nnv = b / c
-    return {
-        "nv_vs_nnv_exponent": nv_vs_nnv,
-        "d_vs_nnv_exponent": d_vs_nnv,
-        "verdicts": [nv_vs_nnv > 1.0, d_vs_nnv > 1.0],
-    }

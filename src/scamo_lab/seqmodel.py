@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .flops import _check_int, _check_int_array, _check_real
+from .flops import _check_int, _check_real
 
 __all__ = [
     "PrefixMask",
@@ -23,7 +23,6 @@ __all__ = [
     "TokenProbRecord",
     "ce_loss",
     "normalized_loss",
-    "unigram_baseline",
 ]
 
 
@@ -86,16 +85,3 @@ def normalized_loss(records: Sequence[TokenProbRecord]) -> float:
     if len(records) == 0:
         raise ValueError("no records")
     return -math.fsum(r.model_logp - r.baseline_logp for r in records) / len(records)
-
-
-def unigram_baseline(token_counts: Sequence[int], smoothing_lambda: float) -> np.ndarray:
-    """Add-lambda smoothed unigram log-probabilities in nats.
-
-    logp_k = ln((count_k + lambda) / (total + lambda * V)). lambda must be
-    positive so every token, including unseen ones, gets a finite
-    log-probability. All-zero counts give the uniform ln(1/V) table.
-    """
-    _check_real("smoothing_lambda", smoothing_lambda, "positive")
-    counts = _check_int_array("token_counts", token_counts, (None,), 0).astype(np.float64)
-    denom = counts.sum() + smoothing_lambda * counts.size
-    return np.log((counts + smoothing_lambda) / denom)

@@ -22,7 +22,6 @@ __all__ = [
     "VqResetResult",
     "vq_assign",
     "vq_quantize",
-    "commitment_loss",
     "vq_ema_update",
     "vq_reset",
 ]
@@ -120,14 +119,6 @@ def vq_quantize(z, codebook: VqCodebook) -> VqAssignment:
     z = _check_real_array("latent", z, (codebook.dim,))
     index = int(vq_assign(z[None, :], codebook)[0])
     return VqAssignment(index=index, entry=codebook.entries[index].copy())
-
-
-def commitment_loss(z, z_hat, alpha: float) -> float:
-    """alpha * squared distance between a latent and its assigned entry."""
-    _check_real("alpha", alpha, "non-negative")
-    z = _check_real_array("z", z, lambda ndim: (None,) * ndim)
-    z_hat = _check_real_array("z_hat", z_hat, z.shape)
-    return float(alpha * ((z - z_hat) ** 2).sum())
 
 
 def vq_ema_update(batch, codebook: VqCodebook, params: VqTrainParams) -> VqCodebook:

@@ -33,8 +33,11 @@ RUN_LINE = json.dumps(
 @pytest.fixture
 def invoke(capsys, monkeypatch):
     def _invoke(argv, stdin=None):
+        """stdin, text or bytes, is fed as the real one is: text over a binary buffer."""
         if stdin is not None:
-            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+            data = stdin if isinstance(stdin, bytes) else stdin.encode("utf-8")
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                                                newline="\n"))
         code = run(list(argv))
         captured = capsys.readouterr()
         return code, captured.out, captured.err
@@ -364,6 +367,21 @@ def test_ingest_reports_line_numbers(invoke):
     code, out, err = invoke(["ingest"], stdin=RUN_LINE + "\ngarbage\n")
     assert code == 1 and out == ""
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("command", ["ingest", "frontier", "fit"])
+@pytest.mark.parametrize("log, error", [
+    (RUN_LINE.encode() + b"\r" + RUN_LINE.encode() + b"\n", "line 1: Extra data"),
+    (RUN_LINE.encode() + b"\n\xff\n", "line 2: 'utf-8' codec can't decode byte 0xff"),
+], ids=["lone CR", "not UTF-8"])
+def test_run_log_reads_alike_from_a_file_and_stdin(invoke, tmp_path, command, log, error):
+    """A run log splits at "\n" only and is decoded line by line, whichever way it comes in."""
+    path = tmp_path / "runs.jsonl"
+    path.write_bytes(log)
+    from_file = invoke([command, "--runs", str(path)])
+    assert from_file == invoke([command], stdin=log)
+    code, out, err = from_file
+    assert (code, out) == (1, "") and err.startswith(f"error: invalid run log: {error}")
 
 
 def test_frontier_json_and_csv(invoke, tmp_path):

@@ -181,7 +181,8 @@ def test_cli_fuzz(tmp_path, command, data):
             Path(paths[name]).write_text(text, encoding="utf-8")
         argv = [arg.format(**paths) if arg.startswith("{") else arg for arg in argv]
         out, err = io.StringIO(), io.StringIO()
-        saved_stdin, sys.stdin = sys.stdin, io.StringIO(stdin)
+        saved_stdin, sys.stdin = sys.stdin, io.TextIOWrapper(io.BytesIO(stdin.encode()),
+                                                              encoding="utf-8", newline="\n")
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                     warnings.catch_warnings(record=True) as caught:

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from scamo_lab import (
-    MODEL_SHAPE_PRESETS,
     RUN_FIELDS,
     CodebookMetrics,
     CodeUsageHistogram,
@@ -250,10 +249,3 @@ def test_metrics_single_code():
 def test_metrics_zero_total_errors():
     with pytest.raises(ValueError, match="no observations"):
         codebook_metrics(CodeUsageHistogram(np.array([0, 0])))
-
-
-def test_shape_presets_are_valid_configs():
-    assert len(MODEL_SHAPE_PRESETS) == 6
-    for n_layers, n_heads, d_model in MODEL_SHAPE_PRESETS.values():
-        assert d_model % n_heads == 0
-        assert n_layers > 0

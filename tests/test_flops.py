@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from scamo_lab import (
-    MODEL_SHAPE_PRESETS,
     FlopsBreakdown,
     ModelConfig,
     flops_approx,
     flops_per_token_exact,
     params_non_embedding,
-    params_vocab,
 )
 
 
@@ -79,8 +77,19 @@ def test_total_decomposes_into_params_and_mask_term():
         assert b.total == 4 * cfg.d_model + 2 * n_nv + mask + 2 * cfg.d_model * cfg.n_vocab
 
 
+# Published model shapes: name -> (n_layers, n_heads, d_model).
+SHAPES = {
+    "scamo-44m": (8, 8, 512),
+    "scamo-111m": (12, 12, 768),
+    "scamo-343m": (24, 16, 1024),
+    "scamo-775m": (36, 20, 1280),
+    "scamo-1.4b": (48, 24, 1536),
+    "scamo-3b": (24, 32, 3200),
+}
+
+
 def test_params_non_embedding_is_12_l_d2_at_default_ff():
-    for n_layers, n_heads, d_model in MODEL_SHAPE_PRESETS.values():
+    for n_layers, n_heads, d_model in SHAPES.values():
         cfg = ModelConfig(
             n_layers=n_layers, n_heads=n_heads, d_model=d_model, n_ctx=1024, n_vocab=512
         )
@@ -88,25 +97,9 @@ def test_params_non_embedding_is_12_l_d2_at_default_ff():
 
 
 def test_params_3b_preset():
-    n_layers, n_heads, d_model = MODEL_SHAPE_PRESETS["scamo-3b"]
+    n_layers, n_heads, d_model = SHAPES["scamo-3b"]
     cfg = ModelConfig(n_layers=n_layers, n_heads=n_heads, d_model=d_model, n_ctx=1024, n_vocab=2)
     assert params_non_embedding(cfg) == 2949120000
-
-
-def test_params_vocab():
-    assert params_vocab(65536, 3200) == 209715200
-    assert params_vocab(1, 1) == 1
-    with pytest.raises(ValueError):
-        params_vocab(0, 3200)
-    with pytest.raises(ValueError):
-        params_vocab(65536, 0)
-
-
-def test_params_vocab_takes_only_integers():
-    with pytest.raises(ValueError, match="^vocab_size must be a positive integer, got 2.5$"):
-        params_vocab(2.5, 8)
-    with pytest.raises(ValueError, match="^d_model must be a positive integer, got 8.0$"):
-        params_vocab(8, 8.0)
 
 
 def test_flops_approx_value():

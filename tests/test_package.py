@@ -4,6 +4,7 @@ and one array rule for every argument."""
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,30 +13,28 @@ import scamo_lab
 
 EXPORTS = {
     # core
-    "MODEL_SHAPE_PRESETS", "RUN_FIELDS", "RunRecord", "RunLogError", "RunTable", "load_runs",
+    "RUN_FIELDS", "RunRecord", "RunLogError", "RunTable", "load_runs",
     "CodeUsageHistogram", "CodebookMetrics", "codebook_metrics",
     # flops
     "ModelConfig", "FlopsBreakdown", "flops_per_token_exact", "params_non_embedding",
-    "params_vocab", "flops_approx",
+    "flops_approx",
     # fsq
     "LEVEL_PRESETS", "FsqLevels", "SteForward", "codebook_size", "fsq_decode_index",
     "fsq_dequantize", "fsq_encode_index", "fsq_quantize", "fsq_ste_forward",
-    "latent_for_code",
     # planner
     "CONSISTENCY_TOLERANCE_LOG10", "FITS_PRESETS", "REFERENCE_PRESETS", "ReferenceSelection",
-    "BudgetPlan", "VocabForModel", "flops_for_loss", "nearest_power_of_two", "plan_budget",
-    "consistency_report", "vocab_for_model", "scale_faster_report",
+    "BudgetPlan", "VocabForModel", "nearest_power_of_two", "plan_budget",
+    "consistency_report", "vocab_for_model",
     # scaling
     "PowerLawFit", "LogLawFit", "ScalingFits", "FrontierPoint", "pareto_frontier",
     "fit_power_law", "fit_log_law", "fit_all",
     # seqmodel
     "PrefixMask", "TokenProbRecord", "build_prefix_mask", "ce_loss", "normalized_loss",
-    "unigram_baseline",
     # synth
     "CGridSpec", "SynthSpec", "config_for_params", "synth_runs", "synth_latents",
     # vq
-    "VqAssignment", "VqCodebook", "VqResetResult", "VqTrainParams", "commitment_loss",
-    "vq_assign", "vq_ema_update", "vq_quantize", "vq_reset",
+    "VqAssignment", "VqCodebook", "VqResetResult", "VqTrainParams", "vq_assign",
+    "vq_ema_update", "vq_quantize", "vq_reset",
 }
 
 
@@ -44,6 +43,24 @@ def test_exported_names_are_pinned_and_resolve():
     assert set(scamo_lab.__all__) == EXPORTS
     for name in scamo_lab.__all__:
         assert getattr(scamo_lab, name) is not None
+
+
+def test_every_exported_name_is_reached():
+    """Each name in __all__ is used by the CLI, an acceptance gate or the benchmark, or by
+    package code beyond its __all__ entry and its definition."""
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "scamo_lab"
+    users = [package / "cli.py", root / "tests" / "test_acceptance.py", *root.glob("bench/*.py")]
+    outside = "".join(path.read_text(encoding="utf-8") for path in users)
+    inside = "".join(re.sub(r"(?m)^__all__ = \[[^]]*\]", "", path.read_text(encoding="utf-8"))
+                     for path in package.glob("*.py"))
+    unreached = []
+    for name in scamo_lab.__all__:
+        uses = len(re.findall(rf"\b{name}\b", inside))
+        definitions = len(re.findall(rf"(?m)^(?:def |class )?{name}\b", inside))
+        if not re.search(rf"\b{name}\b", outside) and uses <= definitions:
+            unreached.append(name)
+    assert unreached == []
 
 
 def test_import_leaves_scipy_out():
@@ -75,12 +92,10 @@ PAPER_FITS = scamo_lab.FITS_PRESETS["scamo-paper"]
         lambda: scamo_lab.synth_latents("gaussian_mixture", 10, True),
         lambda: scamo_lab.synth_latents("gaussian_mixture", 10, 2, n_components=True),
         lambda: scamo_lab.VqTrainParams(rng_seed=True),
-        lambda: scamo_lab.params_vocab(True, 8),
-        lambda: scamo_lab.params_vocab(8, True),
     ],
     ids=["ff_ratio", "tokens_trained", "level", "vocab_size", "nearest_power_of_two",
          "plan_budget", "vocab_for_model", "t_motion", "n_points", "runs_per_budget", "seed",
-         "n", "dim", "n_components", "rng_seed", "params_vocab_size", "params_vocab_d_model"],
+         "n", "dim", "n_components", "rng_seed"],
 )
 def test_true_is_not_an_integer(build):
     with pytest.raises(ValueError, match="integer.*, got True$"):
@@ -148,14 +163,10 @@ REALS = [
      lambda v: scamo_lab.ReferenceSelection(n_nv=v, vocab_size=8, d_tokens=1e7)),
     ("ReferenceSelection.d_tokens", "d_tokens", "positive",
      lambda v: scamo_lab.ReferenceSelection(n_nv=3e9, vocab_size=8, d_tokens=v)),
-    ("flops_for_loss", "target_loss", "finite",
-     lambda v: scamo_lab.flops_for_loss(v, PAPER_FITS.loss_vs_c)),
     ("plan_budget", "c_flops", "positive", lambda v: scamo_lab.plan_budget(v, PAPER_FITS, 8)),
     ("consistency_report", "tolerance_log10", "positive",
      lambda v: scamo_lab.consistency_report(
          PAPER_PLAN, scamo_lab.REFERENCE_PRESETS["scamo-paper"], tolerance_log10=v)),
-    ("unigram_baseline", "smoothing_lambda", "positive",
-     lambda v: scamo_lab.unigram_baseline([1, 2], v)),
     ("CGridSpec.min_log10", "min_log10", "finite", lambda v: scamo_lab.CGridSpec(v, 15.0, 2)),
     ("CGridSpec.max_log10", "max_log10", "finite", lambda v: scamo_lab.CGridSpec(14.0, v, 2)),
     ("SynthSpec", "noise_sigma_log10", "non-negative",
@@ -163,8 +174,6 @@ REALS = [
     ("config_for_params", "n_nv_target", "positive", lambda v: scamo_lab.config_for_params(v)),
     ("VqTrainParams.reset_threshold", "reset_threshold", "non-negative",
      lambda v: scamo_lab.VqTrainParams(reset_threshold=v)),
-    ("commitment_loss", "alpha", "non-negative",
-     lambda v: scamo_lab.commitment_loss([0.0], [0.0], v)),
     ("TokenProbRecord.model_logp", "model_logp", "non-positive",
      lambda v: scamo_lab.TokenProbRecord(v, 0.0)),
     ("TokenProbRecord.baseline_logp", "baseline_logp", "non-positive",
@@ -222,10 +231,6 @@ ARRAYS = [
      lambda v: scamo_lab.vq_ema_update(v, CODEBOOK, PARAMS)),
     ("vq_reset", "batch", "finite", "(n, 2)", np.zeros((4, 2)),
      lambda v: scamo_lab.vq_reset(CODEBOOK, v, PARAMS)),
-    ("commitment_loss.z", "z", "finite", "(n,)", np.zeros(2),
-     lambda v: scamo_lab.commitment_loss(v, np.zeros(2), 1.0)),  # v fails before z_hat
-    ("commitment_loss.z_hat", "z_hat", "finite", "(2,)", np.zeros(2),
-     lambda v: scamo_lab.commitment_loss(np.zeros(2), v, 1.0)),
     ("fit_power_law.xs", "xs", "positive", "(n,)", np.ones(3),
      lambda v: scamo_lab.fit_power_law(v, np.ones(3))),
     ("fit_power_law.ys", "ys", "positive", "(3,)", np.ones(3),
@@ -240,16 +245,11 @@ ARRAYS = [
      lambda v: scamo_lab.fsq_dequantize(v, LEVELS)),
     ("fsq_encode_index", "codes", "in [1, (8, 5)]", "(n, 2)", np.ones((3, 2), dtype=np.int64),
      lambda v: scamo_lab.fsq_encode_index(v, LEVELS)),
-    ("latent_for_code", "codes", "in [1, (8, 5)]", "(n, 2)", np.ones((3, 2), dtype=np.int64),
-     lambda v: scamo_lab.latent_for_code(v, LEVELS)),
     ("fsq_decode_index", "index", "in [0, 39]", "(n,)", np.arange(3),
      lambda v: scamo_lab.fsq_decode_index(v, LEVELS)),
     ("CodeUsageHistogram", "counts", ">= 0", "(n,)", np.ones(3, dtype=np.int64),
      scamo_lab.CodeUsageHistogram),
-    ("unigram_baseline", "token_counts", ">= 0", "(n,)", np.ones(3, dtype=np.int64),
-     lambda v: scamo_lab.unigram_baseline(v, 1.0)),
 ]
-ANY_SHAPE = {"commitment_loss.z"}  # z_hat takes its shape from z
 
 
 def _with_first(array, value):
@@ -269,13 +269,12 @@ def _array_cases():
     for entry, name, rule, shape, good, build in ARRAYS:
         integer = rule not in OUT_OF_RANGE
         kind = "must be integers" if integer else "must be real numbers"
+        bad = good[..., None]
         cases = {"empty": (good[:0], f"must have shape {shape}, got {good[:0].shape}"),
                  "[{}]": ([{}], kind), "ragged": (_ragged(good), kind),
                  # numpy would read the bool as 1 in an int or float array
-                 "bool in a list": (_with_first(good.astype(object), True).tolist(), kind)}
-        if entry not in ANY_SHAPE:
-            bad = good[..., None]
-            cases["shape"] = (bad, f"must have shape {shape}, got {bad.shape}")
+                 "bool in a list": (_with_first(good.astype(object), True).tolist(), kind),
+                 "shape": (bad, f"must have shape {shape}, got {bad.shape}")}
         if integer:
             cases["float"] = (good.astype(np.float64), "must be integers")
             cases["bool"] = (good.astype(bool), "must be integers")

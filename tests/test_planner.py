@@ -9,14 +9,11 @@ from scamo_lab import (
     CONSISTENCY_TOLERANCE_LOG10,
     FITS_PRESETS,
     REFERENCE_PRESETS,
-    LogLawFit,
     PowerLawFit,
     ReferenceSelection,
     consistency_report,
-    flops_for_loss,
     nearest_power_of_two,
     plan_budget,
-    scale_faster_report,
     vocab_for_model,
 )
 
@@ -41,19 +38,6 @@ def test_reference_preset():
 
 def test_predict_loss_at_1e18():
     assert PRESET.loss_vs_c.evaluate(1e18) == pytest.approx(-5.277, abs=1e-12)
-
-
-def test_flops_for_loss_inverts():
-    law = PRESET.loss_vs_c
-    for target in (-5.277, -3.0, 0.0):
-        c = flops_for_loss(target, law)
-        assert law.evaluate(c) == pytest.approx(target, abs=1e-9)
-    with pytest.raises(ValueError, match="zero slope"):
-        flops_for_loss(-1.0, LogLawFit(slope=0.0, intercept=1.0))
-
-
-def test_flops_for_loss_past_float_range_is_inf():
-    assert flops_for_loss(-1e6, LogLawFit(slope=-1e-3, intercept=0.0)) == math.inf
 
 
 @pytest.mark.parametrize(
@@ -188,10 +172,3 @@ def test_vocab_past_float_range_is_rejected():
         plan_budget(1e18, dataclasses.replace(PRESET, nv_vs_c=huge), 3200)
     with pytest.raises(ValueError, match="^n_v must be non-negative and finite, got inf$"):
         vocab_for_model(3e9, huge, 3200)
-
-
-def test_scale_faster_report():
-    report = scale_faster_report(PRESET)
-    assert report["nv_vs_nnv_exponent"] == pytest.approx(0.75 / 0.57)
-    assert report["d_vs_nnv_exponent"] == pytest.approx(0.57 / 0.43)
-    assert report["verdicts"] == [True, True]

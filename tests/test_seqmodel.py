@@ -10,7 +10,6 @@ from scamo_lab import (
     build_prefix_mask,
     ce_loss,
     normalized_loss,
-    unigram_baseline,
 )
 
 LN_HALF = math.log(0.5)
@@ -113,34 +112,3 @@ def test_normalized_loss_equals_ce_difference():
 def test_normalized_loss_empty():
     with pytest.raises(ValueError):
         normalized_loss([])
-
-
-def test_unigram_baseline_hand_computed():
-    # counts (3, 1, 0), lambda 1: denominator 4 + 3 = 7
-    logp = unigram_baseline([3, 1, 0], 1.0)
-    assert np.allclose(logp, np.log(np.array([4, 2, 1]) / 7.0))
-
-
-def test_unigram_baseline_normalizes():
-    rng = np.random.default_rng(4)
-    counts = rng.integers(0, 100, size=37)
-    for lam in (0.1, 1.0, 7.5):
-        logp = unigram_baseline(counts, lam)
-        assert np.exp(logp).sum() == pytest.approx(1.0, rel=1e-12)
-        assert (logp < 0).all()
-
-
-def test_unigram_baseline_all_zero_counts():
-    logp = unigram_baseline([0, 0, 0, 0], 0.5)
-    assert np.allclose(logp, math.log(0.25))
-
-
-def test_unigram_baseline_validation():
-    with pytest.raises(ValueError, match="smoothing_lambda"):
-        unigram_baseline([1, 2], 0.0)
-    with pytest.raises(ValueError):
-        unigram_baseline([1, -2], 1.0)
-    with pytest.raises(ValueError):
-        unigram_baseline([1.5, 2.0], 1.0)
-    with pytest.raises(ValueError):
-        unigram_baseline([], 1.0)

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from scamo_lab import (
     VqCodebook,
     VqTrainParams,
-    commitment_loss,
     vq_assign,
     vq_ema_update,
     vq_quantize,
@@ -73,16 +72,6 @@ def test_quantize_input_checks():
         vq_quantize(np.zeros(3), cb)
     with pytest.raises(ValueError, match="finite"):
         vq_quantize(np.array([np.nan, 0.0]), cb)
-
-
-def test_commitment_loss():
-    assert commitment_loss([1.0, 2.0], [1.0, 2.0], 1.0) == 0.0
-    assert commitment_loss([1.0, 0.0], [0.0, 2.0], 1.0) == 5.0
-    assert commitment_loss([1.0, 0.0], [0.0, 2.0], 0.25) == 1.25
-    with pytest.raises(ValueError):
-        commitment_loss([1.0], [1.0], -0.5)
-    with pytest.raises(ValueError):
-        commitment_loss([1.0], [1.0, 2.0], 1.0)
 
 
 def test_train_params_validation():
