@@ -157,8 +157,8 @@ def _run_lines(runs: RunTable) -> str:
     for start in range(0, len(runs), _CHUNK_ROWS):
         chunk = runs[start:start + _CHUNK_ROWS]
         columns = [map(json.dumps, chunk.run_id)]
-        columns += [map(str, getattr(chunk, name).tolist()) for name in RUN_FIELDS[1:7]]
-        columns += [map(_fmt_float, getattr(chunk, name).tolist()) for name in RUN_FIELDS[7:]]
+        for column in (getattr(chunk, name) for name in RUN_FIELDS[1:]):
+            columns.append(map(_fmt_float if column.dtype == np.float64 else str, column.tolist()))
         parts.append("".join(map(_RUN_LINE.__mod__, zip(*columns))))
     return "".join(parts) or "\n"  # no runs: one empty line
 

@@ -12,7 +12,6 @@ import contextlib
 import dataclasses
 import itertools
 import json
-import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import IO, Iterable, NamedTuple
@@ -39,9 +38,11 @@ class RunRecord:
 
     normalized_loss is a per-token loss in nats measured against a baseline,
     so negative values are legal (the model beats the baseline). The five
-    shape fields are checked once, by the ModelConfig that config() returns;
-    they and tokens_trained are at most 2**63 - 1. A flops of None is filled
-    from 6 * (N_nv + N_v) * D; flops and normalized_loss are kept as floats.
+    shape fields are checked under their own names, then the ModelConfig that
+    config() returns adds the divisibility rule; they and tokens_trained are
+    at most 2**63 - 1. A flops of None is filled from 6 * (N_nv + N_v) * D;
+    flops and normalized_loss are kept as floats. This is the one place that
+    judges a run and words its error; the loader only flags rows for it.
     """
 
     run_id: str
@@ -58,12 +59,10 @@ class RunRecord:
     def __post_init__(self) -> None:
         if not isinstance(self.run_id, str) or not self.run_id:
             raise ValueError("run_id must be a non-empty string")
-        try:
-            config = ModelConfig(self.n_layers, self.n_heads, self.d_model, self.n_ctx,
-                                 self.vocab_size)
-        except ValueError as exc:  # ModelConfig calls vocab_size n_vocab
-            raise ValueError(re.sub("^n_vocab ", "vocab_size ", str(exc))) from None
-        object.__setattr__(self, "_config", config)
+        for name in RUN_FIELDS[1:6]:  # the shape fields, named as in the log
+            _check_int(name, getattr(self, name), 1, _INT64_MAX)
+        object.__setattr__(self, "_config", ModelConfig(
+            self.n_layers, self.n_heads, self.d_model, self.n_ctx, self.vocab_size))
         _check_int("tokens_trained", self.tokens_trained, 1, _INT64_MAX)
         flops = self.flops
         if flops is None:
@@ -169,35 +168,27 @@ def _row_of(obj: object) -> tuple:
 
 
 def _column(name: str, values: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """values as the field's array, and the mask of rows that break the field's rule, each
-    holding 1: an int (never a bool) in [1, 2**63 - 1], or for flops and normalized_loss an
-    int or float, finite and, for flops, positive."""
+    """values as the field's array, and the mask of rows flagged for RunRecord to judge, each
+    holding 1. The mask holds every row that breaks the field's rule (an int, never a bool, in
+    [1, 2**63 - 1], or for flops and normalized_loss an int or float, finite and, for flops,
+    positive), and may hold some valid ones."""
     real = name in _REAL_FIELDS
-    dtype = np.float64 if real else np.int64
-    array = None
-    if set(map(type, values)) <= ({int, float} if real else {int}):  # the common case
+    dtype, kinds = (np.float64, {int, float}) if real else (np.int64, {int})
+    array, flagged = None, False
+    if set(map(type, values)) <= kinds:  # the common case
         with contextlib.suppress(OverflowError):  # an int past the dtype's range
             array = np.array(values, dtype=dtype)
-    if array is None:  # a value of another type, or past range: checked one by one
-        bad = np.array([not _obeys(name, v) for v in values], dtype=bool)
-        array = np.array([1 if b else v for v, b in zip(values, bad)], dtype=dtype)
-    elif real:
+    if array is None:  # a value of another type, or past range: flagged by type and size
+        flagged = np.array([type(v) not in kinds or not -_INT64_MAX <= v <= _INT64_MAX
+                            for v in values], dtype=bool)
+        array = np.array([1 if f else v for v, f in zip(values, flagged)], dtype=dtype)
+    if real:
         bad = ~np.isfinite(array) | (array <= 0) if name == "flops" else ~np.isfinite(array)
     else:
         bad = array < 1
+    bad |= flagged
     array[bad] = 1
     return array, bad
-
-
-def _obeys(name: str, value: object) -> bool:
-    try:
-        if name in _REAL_FIELDS:
-            _check_real(name, value, "positive" if name == "flops" else "finite")
-        else:
-            _check_int(name, value, 1, _INT64_MAX)
-    except ValueError:
-        return False
-    return True
 
 
 def load_runs(source: IO[str] | IO[bytes] | Iterable[str] | Iterable[bytes] | str | bytes) -> RunTable:
@@ -209,8 +200,9 @@ def load_runs(source: IO[str] | IO[bytes] | Iterable[str] | Iterable[bytes] | st
     single RunLogError; nothing is returned unless the entire log is valid.
     run_ids must be unique. Records without flops get it filled from the
     compute approximation. Each line's values go into columns, which are
-    checked as arrays; only a row that breaks a rule, or has no flops, is built
-    as a RunRecord, for its error or its filled flops.
+    screened as arrays. The screen flags every row that breaks a rule or has
+    no flops, and may flag a valid one; only a flagged row is built as a
+    RunRecord, which judges it.
     """
     if isinstance(source, (str, bytes)):
         source = source.split("\n" if isinstance(source, str) else b"\n")
@@ -249,8 +241,8 @@ def _parsed(source: Iterable[str] | Iterable[bytes], errors: list[tuple[int, str
 def _checked(chunk: list[tuple[int, tuple]], errors: list[tuple[int, str]]):
     """The run_ids, line numbers and column arrays of the chunk's rows that obey every rule.
 
-    The rules are checked as arrays; only a row that breaks one, or has no flops, is built as
-    a RunRecord, for its error (added to errors) or its filled flops."""
+    The columns are screened as arrays; each flagged row is built as a RunRecord, whose error
+    goes to errors, or whose fields, flops filled, go back into the arrays."""
     linenos, rows = zip(*chunk)
     columns = dict(zip(RUN_FIELDS, zip(*rows)))
     bad = np.array([type(r) is not str or not r for r in columns["run_id"]], dtype=bool)
@@ -262,7 +254,9 @@ def _checked(chunk: list[tuple[int, tuple]], errors: list[tuple[int, str]]):
     keep = np.ones(len(rows), dtype=bool)
     for i in np.flatnonzero(bad).tolist():
         try:
-            arrays["flops"][i] = RunRecord(*rows[i]).flops
+            record = RunRecord(*rows[i])
+            for name in RUN_FIELDS[1:]:
+                arrays[name][i] = getattr(record, name)
         except ValueError as exc:
             errors.append((linenos[i], str(exc)))
             keep[i] = False

@@ -106,16 +106,21 @@ def _check_int_array(name: str, value, shape, minimum: int, maximum=None) -> np.
     """The integer rule for arrays: an integer dtype (never bool or float) of the given shape,
     every value in [minimum, maximum], as int64; an int64 array comes back as is, not copied.
     maximum may be per channel, broadcast on the last axis. minimum is never negative, so a
-    uint64 past the int64 range, which wraps negative, is refused."""
+    uint64 past the int64 range, which wraps negative, is refused, and so are Python ints past
+    it, which numpy holds as objects, or as float64 beside a negative."""
     try:
         array = _as_array(value)
         integral = np.issubdtype(array.dtype, np.integer)
+        wide = not (integral or isinstance(value, np.ndarray)) and array.size > 0 and all(
+            type(x) is int for x in np.asarray(value, dtype=object).flat)
     except (TypeError, ValueError):  # a ragged nesting, or a bool in a list
-        integral = False
-    if not integral:
+        integral = wide = False
+    if not integral and not wide:
         raise ValueError(f"{name} must be integers")
-    array = _shaped(name, array, shape).astype(np.int64, copy=False)
-    if array.min() < minimum or (maximum is not None and (array > maximum).any()):
+    array = _shaped(name, array, shape)
+    if not wide:
+        array = array.astype(np.int64, copy=False)
+    if wide or array.min() < minimum or (maximum is not None and (array > maximum).any()):
         bounds = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
         raise ValueError(f"{name} must be integers {bounds}")
     return array

@@ -214,6 +214,15 @@ def test_fsq_errors(invoke):
     assert code == 1 and "not valid JSON" in err
     code, _, err = invoke(["fsq", "decode", "--levels", "8,5"], stdin="40")
     assert code == 1 and "index must be integers in [0, 39]" in err
+    # ints past int64: numpy holds them as objects, or as float64 beside a negative
+    for action, stdin, message in [
+        ("decode", str(2**70), "index must be integers in [0, 63]"),
+        ("decode", f"[1, -1, {2**63}]", "index must be integers in [0, 63]"),
+        ("encode", f"[[1, {2**64}]]", "codes must be integers in [1, (8, 8)]"),
+        ("dequantize", f"[[1, -1], [2, {2**63}]]", "codes must be integers in [1, (8, 8)]"),
+    ]:
+        assert invoke(["fsq", action, "--levels", "8,8"], stdin=stdin) == (
+            1, "", f"error: {message}\n")
 
 
 def test_fsq_level_count_past_float64_rounding_is_one_error_line(invoke):

@@ -1,6 +1,7 @@
 """Package-wide contracts: exported names, a numpy-only import, and one integer, one real
 and one array rule for every argument."""
 
+import ast
 import re
 import subprocess
 import sys
@@ -60,6 +61,27 @@ def test_every_exported_name_is_reached():
         definitions = len(re.findall(rf"(?m)^(?:def |class )?{name}\b", inside))
         if not re.search(rf"\b{name}\b", outside) and uses <= definitions:
             unreached.append(name)
+    assert unreached == []
+
+
+def test_every_private_module_name_is_reached():
+    """Each module-level _name (a def, class or assignment) in the package is referenced in
+    src/ beyond its definition, so a deleted caller leaves no dead helper behind."""
+    package = Path(__file__).resolve().parents[1] / "src" / "scamo_lab"
+    sources = {path: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    everything = "".join(sources.values())
+    unreached = []
+    for path, text in sources.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:
+                targets = getattr(node, "targets", [getattr(node, "target", None)])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            for name in names:
+                if (name.startswith("_") and not name.startswith("__")
+                        and len(re.findall(rf"\b{name}\b", everything)) < 2):
+                    unreached.append(f"{path.name}:{name}")
     assert unreached == []
 
 
@@ -252,9 +274,9 @@ ARRAYS = [
 ]
 
 
-def _with_first(array, value):
+def _with_first(array, *values):
     out = array.copy()
-    out.flat[0] = value
+    out.flat[:len(values)] = values
     return out
 
 
@@ -279,6 +301,11 @@ def _array_cases():
             cases["float"] = (good.astype(np.float64), "must be integers")
             cases["bool"] = (good.astype(bool), "must be integers")
             cases["range"] = (_with_first(good, -1), f"must be integers {rule}")
+            # Python ints past int64: numpy holds them as objects, or as float64 beside a negative
+            cases["past int64"] = (_with_first(good.astype(object), 2**64).tolist(),
+                                   f"must be integers {rule}")
+            cases["past int64 beside a negative"] = (
+                _with_first(good.astype(object), -1, 2**63).tolist(), f"must be integers {rule}")
         else:
             words = "finite" if rule == "finite" else f"{rule} and finite"
             for value in [float("nan"), *OUT_OF_RANGE[rule]]:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scamo_lab import (
     FITS_PRESETS,
@@ -197,8 +197,17 @@ def run_logs(draw) -> str:
     return "\n".join(lines)
 
 
+# valid, with a flops column that leaves the fast path (one row has none), so the screen
+# flags the other rows' flops past the int64 range and they must keep their values
+FLOPS_PAST_INT64 = "\n".join(
+    json.dumps({"run_id": f"r{i}", "n_layers": 2, "n_heads": 2, "d_model": 8, "n_ctx": 16,
+                "vocab_size": 32, "tokens_trained": 1000, **flops, "normalized_loss": 0.5})
+    for i, flops in enumerate([{"flops": 10**20}, {}, {"flops": 2**63}, {"flops": 1e300}]))
+
+
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(run_logs())
+@example(FLOPS_PAST_INT64)
 def test_load_runs_matches_the_per_row_reference(text):
     table, error = outcome(load_runs, text)
     records, ref_error = outcome(reference_load_runs, text)
