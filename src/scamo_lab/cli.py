@@ -25,8 +25,8 @@ import warnings
 
 import numpy as np
 
-from .core import (RUN_FIELDS, _CHUNK_ROWS, RunTable, load_runs, codebook_metrics,
-                   CodeUsageHistogram)
+from .core import (RUN_FIELDS, _CHUNK_ROWS, _REAL_FIELDS, RunTable, load_runs,
+                   codebook_metrics, CodeUsageHistogram)
 from .flops import ModelConfig, flops_per_token_exact
 from .fsq import (
     LEVEL_PRESETS,
@@ -147,7 +147,10 @@ def _load_csv_matrix(path: str, name: str) -> np.ndarray:
     return matrix
 
 
-_RUN_LINE = "{" + ", ".join(f'"{name}": %s' for name in RUN_FIELDS) + "}\n"
+# %.17g is _fmt_float's format; a table's float columns are always finite, as RunRecord,
+# load_runs and synth_runs (the makers of its columns) check every value
+_RUN_LINE = "{" + ", ".join(
+    f'"{name}": %{".17g" if name in _REAL_FIELDS else "s"}' for name in RUN_FIELDS) + "}\n"
 
 
 def _run_lines(runs: RunTable) -> str:
@@ -156,9 +159,8 @@ def _run_lines(runs: RunTable) -> str:
     parts = []
     for start in range(0, len(runs), _CHUNK_ROWS):
         chunk = runs[start:start + _CHUNK_ROWS]
-        columns = [map(json.dumps, chunk.run_id)]
-        for column in (getattr(chunk, name) for name in RUN_FIELDS[1:]):
-            columns.append(map(_fmt_float if column.dtype == np.float64 else str, column.tolist()))
+        columns = [map(json.encoder.encode_basestring_ascii, chunk.run_id)]  # as json.dumps
+        columns += (getattr(chunk, name).tolist() for name in RUN_FIELDS[1:])
         parts.append("".join(map(_RUN_LINE.__mod__, zip(*columns))))
     return "".join(parts) or "\n"  # no runs: one empty line
 

@@ -179,8 +179,8 @@ def _column(name: str, values: tuple) -> tuple[np.ndarray, np.ndarray]:
         with contextlib.suppress(OverflowError):  # an int past the dtype's range
             array = np.array(values, dtype=dtype)
     if array is None:  # a value of another type, or past range: flagged by type and size
-        flagged = np.array([type(v) not in kinds or not -_INT64_MAX <= v <= _INT64_MAX
-                            for v in values], dtype=bool)
+        flagged = np.array([type(v) not in kinds or type(v) is int and not
+                            -_INT64_MAX <= v <= _INT64_MAX for v in values], dtype=bool)
         array = np.array([1 if f else v for v, f in zip(values, flagged)], dtype=dtype)
     if real:
         bad = ~np.isfinite(array) | (array <= 0) if name == "flops" else ~np.isfinite(array)
@@ -224,6 +224,7 @@ def load_runs(source: IO[str] | IO[bytes] | Iterable[str] | Iterable[bytes] | st
 
 
 _CHUNK_ROWS = 4096
+_scan = json.JSONDecoder().scan_once
 
 
 def _parsed(source: Iterable[str] | Iterable[bytes], errors: list[tuple[int, str]]):
@@ -233,7 +234,13 @@ def _parsed(source: Iterable[str] | Iterable[bytes], errors: list[tuple[int, str
         try:  # a line that is not UTF-8 is a ValueError too
             line = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).strip()
             if line:
-                yield lineno, _row_of(json.loads(line))
+                try:  # json.loads's own C scanner; a line it does not end goes to json.loads
+                    obj, end = _scan(line, 0)
+                except StopIteration:
+                    end = -1
+                if end != len(line):
+                    obj = json.loads(line)  # raises the parser's own error
+                yield lineno, _row_of(obj)
         except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             errors.append((lineno, str(exc) or exc.__class__.__name__))
 

@@ -104,38 +104,41 @@ def synth_runs(spec: SynthSpec) -> RunTable:
     selects the law point. A budget or draw that overflows fails its check,
     and the first row that breaks a run rule fails with that rule's error.
     """
-    laws = spec.laws
+    laws, sigma = spec.laws, spec.noise_sigma_log10
     grid, per_budget = spec.c_grid_log10.values_log10(), spec.runs_per_budget
     run_id = [f"synth-{i:03d}-{j:02d}" for i in range(len(grid)) for j in range(per_budget)]
-    counts = np.empty((len(run_id), 6), dtype=np.int64)  # the six integer fields, row by row
+    counts = np.empty((len(run_id), 6), dtype=np.int64)  # the six integer fields
     flops, losses = np.empty(len(run_id)), np.empty(len(run_id))
+    z, u = np.empty((per_budget, 3)), np.empty(per_budget)
     for i, x in enumerate(grid):
-        rng = np.random.default_rng(spec.seed + i)
-        c = 10.0**x
-        n_v_law = laws.nv_vs_c.evaluate(c)  # the law values are the same for a whole budget
-        n_nv_law = laws.nnv_vs_c.evaluate(c)
-        d_law = laws.d_vs_c.evaluate(c)
-        flops[i * per_budget:(i + 1) * per_budget] = c
-        loss_opt = 0.0
-        for j, k in enumerate(range(i * per_budget, (i + 1) * per_budget)):
-            shift = rng.normal(0.0, spec.noise_sigma_log10, size=3)
-            n_v = n_v_law * 10.0 ** shift[0]
-            n_nv = n_nv_law * 10.0 ** shift[1]
-            d_tokens = d_law * 10.0 ** shift[2]
+        rng, c = np.random.default_rng(spec.seed + i), 10.0**x
+        budget = slice(i * per_budget, (i + 1) * per_budget)
+        n_v_law, n_nv_law, d_law = (float(law.evaluate(c))  # the same for a whole budget
+                                    for law in (laws.nv_vs_c, laws.nnv_vs_c, laws.d_vs_c))
+        # the draws that normal(0, sigma, 3), then normal(0, sigma) on row 0 and uniform(0.01,
+        # 0.5) on every other row make, in their order, scaled below by numpy's own formulas
+        for j in range(per_budget):
+            z[j] = rng.standard_normal(3)
+            u[j] = rng.random() if j else rng.standard_normal()
+        loss = laws.loss_vs_c.slope * x + laws.loss_vs_c.intercept + (0.0 + sigma * u[:1])
+        loss = np.concatenate([loss, loss + (0.01 + (0.5 - 0.01) * u[1:])])
+        rows = []
+        for rid, (s0, s1, s2), loss_k in zip(run_id[budget], (0.0 + sigma * z).tolist(),
+                                             loss.tolist()):
+            try:
+                p0, p1, p2 = 10.0 ** s0, 10.0 ** s1, 10.0 ** s2
+            except OverflowError:  # numpy's scalar pow gives inf, which the checks below report
+                p0, p1, p2 = (np.float64(10.0) ** s for s in (s0, s1, s2))
+            n_v, n_nv, d_tokens = n_v_law * p0, n_nv_law * p1, d_law * p2
             _check_real("n_v", n_v, "non-negative")
             _check_real("d_tokens", d_tokens, "non-negative")
-            if j == 0:
-                loss = laws.loss_vs_c.slope * x + laws.loss_vs_c.intercept
-                loss += rng.normal(0.0, spec.noise_sigma_log10)
-                loss_opt = loss
-            else:
-                loss = loss_opt + rng.uniform(0.01, 0.5)
             n_layers, n_heads, d_model = config_for_params(n_nv)
             row = (n_layers, n_heads, d_model, 1024, max(1, int(math.floor(n_v / d_model + 0.5))),
                    max(1, int(math.floor(d_tokens + 0.5))))
-            if max(row) > _INT64_MAX or not math.isfinite(loss):
-                RunRecord(run_id[k], *row, c, float(loss))  # raises the error of the rule broken
-            counts[k], losses[k] = row, loss
+            if max(row) > _INT64_MAX or not math.isfinite(loss_k):
+                RunRecord(rid, *row, c, loss_k)  # raises the error of the rule broken
+            rows.append(row)
+        counts[budget], flops[budget], losses[budget] = rows, c, loss
     return RunTable._of(run_id, *counts.T, flops, losses)
 
 

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, deterministic output."""
 
+import hashlib
 import io
 import json
 import math
@@ -411,6 +412,34 @@ def test_frontier_json_and_csv(invoke, tmp_path):
     assert lines[0] == "flops,n_nv,n_v,d_tokens,loss"
     assert len(lines) == 3
     assert float(lines[1].split(",")[0]) == 1e15
+
+
+SWEEP_SHA256 = {  # the 50k-run sweep of the benchmark, each output written with --out
+    "synth.jsonl": "216a8bd06cd05cebd58afb7de9b952ab5b4551fdf15afed817acf7b6f08856da",
+    "ingest.jsonl": "216a8bd06cd05cebd58afb7de9b952ab5b4551fdf15afed817acf7b6f08856da",
+    "frontier.json": "9d9cc8022a786b76495384cea20cdc40d45b74f255b5a522000fc331b7babc46",
+    "frontier.csv": "a84d9fb4bed2650bdc578b66255d02716c2f2b506040fdd346256cdc7a244adf",
+    "fit.json": "e39af40cb379f63767acd39224fad2aca6c60cdfc65c9907163d2d653f0e825e",
+    "plan.json": "d1e0888218c56f6211df579e2ef6c1d63337c6c4793ea0ab7b3fff580c848a4f",
+}
+
+
+def test_the_50k_run_sweep_keeps_its_bytes(invoke, tmp_path):
+    out = {name: tmp_path / name for name in SWEEP_SHA256}
+    log = str(out["synth.jsonl"])
+    for argv in (
+        ["synth", "--grid-min", "14.1", "--grid-max", "18.1", "--grid-points", "100",
+         "--runs-per-budget", "500", "--noise", "0.05", "--seed", "1", "--out", log],
+        ["ingest", "--runs", log, "--out", str(out["ingest.jsonl"])],
+        ["frontier", "--runs", log, "--bin-width", "0.1", "--out", str(out["frontier.json"]),
+         "--csv", str(out["frontier.csv"])],
+        ["fit", "--runs", log, "--bin-width", "0.1", "--out", str(out["fit.json"])],
+        ["plan", "--fits", str(out["fit.json"]), "--flops", "1e18", "--d-model", "3200",
+         "--out", str(out["plan.json"])],
+    ):
+        assert invoke(argv) == (0, "", "")
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in out.items()}
+    assert digests == SWEEP_SHA256
 
 
 @pytest.mark.parametrize("csv", ["P", "./P"])

@@ -30,6 +30,7 @@ from scamo_lab import (
     pareto_frontier,
     synth_runs,
 )
+from scamo_lab import core
 from scamo_lab.cli import _run_lines, dumps_line
 from scamo_lab.flops import _check_real
 
@@ -171,7 +172,8 @@ def run_logs(draw) -> str:
                "flops": draw(st.floats(1e-3, 1e300)), "normalized_loss": draw(FINITE)}
         kind = draw(st.sampled_from([None, None, None, "missing", "unknown", "no flops",
                                      "reordered", "duplicate", "not an object", "not json",
-                                     "blank", *FAULTS]))
+                                     "blank", "bom", "trailing data", "padded", "nan count",
+                                     *FAULTS]))
         if kind in FAULTS:
             row.update(FAULTS[kind](draw, row))
         elif kind == "missing":
@@ -184,15 +186,25 @@ def run_logs(draw) -> str:
             row = dict(draw(st.permutations(list(row.items()))))
         elif kind == "duplicate" and ids:
             row["run_id"] = draw(st.sampled_from(ids))
+        elif kind == "nan count":  # json.dumps writes NaN and Infinity, and json.loads takes them
+            row[draw(st.sampled_from(INT_FIELDS))] = draw(st.sampled_from([math.nan, math.inf]))
         if isinstance(row.get("run_id"), str):
             ids.append(row["run_id"])
         line = json.dumps(row)
         if kind == "not an object":
-            line = json.dumps(draw(st.sampled_from([[1, 2], 1, "s", None, list(row.values())])))
+            line = json.dumps(draw(st.sampled_from([[1, 2], [], 1, "s", None,
+                                                    list(row.values())])))
         elif kind == "not json":
             line = draw(st.sampled_from(["not json", "{", line[:-1], "1e999x"]))
         elif kind == "blank":
             line = draw(st.sampled_from(["", "   ", "\t"]))
+        elif kind == "bom":
+            line = "\ufeff" + line
+        elif kind == "trailing data":
+            line = draw(st.sampled_from([line + " 1", line + line, line + "\x1c1"]))
+        elif kind == "padded":  # str.strip removes these; JSON whitespace has none of them
+            pad = draw(st.sampled_from(["\x1c", "\xa0", "\u3000"]))
+            line = draw(st.sampled_from([pad + line + pad, line.replace(", ", "," + pad, 1)]))
         lines.append(line)
     return "\n".join(lines)
 
@@ -215,6 +227,26 @@ def test_load_runs_matches_the_per_row_reference(text):
     if error is None:
         assert isinstance(table, RunTable) and table == records
         assert _run_lines(table) == reference_run_lines(records)
+
+
+def test_load_runs_builds_records_only_for_the_rows_without_flops(monkeypatch):
+    # flops over 1e19-1e23 are floats past 2**63 - 1; with every other row lacking flops the
+    # column leaves the screen's fast path, where only an int may be flagged by its size
+    spec = SynthSpec(PAPER, CGridSpec(19.1, 23.1, 20), 10, 0.05, 1)
+    rows = [json.loads(line) for line in _run_lines(synth_runs(spec)).splitlines()]
+    for row in rows[1::2]:
+        del row["flops"]
+    log, built = "\n".join(map(json.dumps, rows)), []
+
+    def counted(*fields):
+        built.append(fields[0])
+        return RunRecord(*fields)
+
+    monkeypatch.setattr(core, "RunRecord", counted)
+    table = load_runs(log)
+    assert built == [row["run_id"] for row in rows[1::2]]
+    monkeypatch.undo()
+    assert table == reference_load_runs(log)
 
 
 def test_load_runs_keeps_the_exact_flops_fill():

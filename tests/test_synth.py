@@ -140,6 +140,25 @@ def test_budget_streams_are_independent():
     assert [r.normalized_loss for r in full[3:]] == [r.normalized_loss for r in tail]
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.05, 3.0])
+def test_bare_draws_scaled_by_numpys_formulas_are_its_normal_and_uniform(sigma):
+    # synth_runs draws standard_normal and random and scales them as arrays; that is exact
+    # only while numpy's normal is loc + scale * z and its uniform low + (high - low) * u
+    for seed in range(10):
+        bare, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        z, u = np.empty((10**4, 3)), np.empty(10**4)
+        want_z, want_u = np.empty((10**4, 3)), np.empty(10**4)
+        for j in range(10**4):
+            z[j], want_z[j] = bare.standard_normal(3), twin.normal(0.0, sigma, 3)
+            if j:
+                u[j], want_u[j] = bare.random(), twin.uniform(0.01, 0.5)
+            else:
+                u[j], want_u[j] = bare.standard_normal(), twin.normal(0.0, sigma)
+        got_u = np.concatenate([0.0 + sigma * u[:1], 0.01 + (0.5 - 0.01) * u[1:]])
+        assert (0.0 + sigma * z).view(np.uint64).tolist() == want_z.view(np.uint64).tolist()
+        assert got_u.view(np.uint64).tolist() == want_u.view(np.uint64).tolist()
+
+
 def test_synth_output_passes_strict_loader():
     runs = synth_runs(make_spec(noise_sigma_log10=0.1))
     jsonl = "\n".join(json.dumps(r.to_dict()) for r in runs)
