@@ -14,20 +14,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RunRecord, RunTable
-from .flops import _INT64_MAX, _check_int, _check_real, _check_real_array
+from .flops import (_INT64_MAX, ModelConfig, _check_int, _check_real, _check_real_array,
+                    params_non_embedding)
 from .fsq import _LATENT_EPS, FsqLevels, _logit
 from .scaling import ScalingFits
 
 __all__ = [
     "CGridSpec",
     "SynthSpec",
-    "config_for_params",
     "synth_runs",
     "synth_latents",
 ]
 
-_PARAM_GRANULE = 12  # params_non_embedding of the smallest config (1 layer, width 1, ff_ratio 4)
-_PARAM_REL_TOL = 0.2  # largest relative miss config_for_params accepts
+# n_nv of one layer of width 1 at ff_ratio 4; L such layers have L times it
+_PARAM_GRANULE = params_non_embedding(ModelConfig(1, 1, 1, 1, 1))
+_PARAM_REL_TOL = 0.2  # largest relative miss between a drawn n_nv and its run's shape
 
 
 @dataclass(frozen=True)
@@ -69,27 +70,6 @@ class SynthSpec:
         _check_int("seed", self.seed, minimum=None)
 
 
-def config_for_params(n_nv_target: float) -> tuple[int, int, int]:
-    """Back-solve (n_layers, n_heads, d_model) nearest to a parameter target.
-
-    At ff_ratio 4 the parameter count is 12 * n_layers * d_model**2, so the
-    width-1 family reaches every multiple of 12 and always contains a globally
-    nearest config (within 6 of any target). These shapes are fit fixtures,
-    not plausible models. Errors when the target sits below the smallest
-    config or the relative mismatch exceeds 20%.
-    """
-    _check_real("n_nv_target", n_nv_target, "positive")
-    n_layers = int(math.floor(n_nv_target / _PARAM_GRANULE + 0.5))
-    if n_layers < 1:
-        raise ValueError(
-            f"target {n_nv_target} is below the smallest valid config ({_PARAM_GRANULE} params)"
-        )
-    achieved = _PARAM_GRANULE * n_layers
-    if abs(achieved - n_nv_target) > _PARAM_REL_TOL * n_nv_target:
-        raise ValueError(f"no config within {_PARAM_REL_TOL:.0%} of target {n_nv_target}")
-    return n_layers, 1, 1
-
-
 @np.errstate(over="ignore", invalid="ignore")  # overflowed draws reach the checks as inf or nan
 def synth_runs(spec: SynthSpec) -> RunTable:
     """Generate an isoFLOPs sweep whose per-budget optimum follows spec.laws.
@@ -101,13 +81,15 @@ def synth_runs(spec: SynthSpec) -> RunTable:
     multiplicative 10**N(0, sigma) noise on the triplet and additive N(0,
     sigma) noise on the loss; siblings draw fresh perturbations and add a
     uniform loss offset of at least 0.01, so frontier extraction always
-    selects the law point. A budget or draw that overflows fails its check,
-    and the first row that breaks a run rule fails with that rule's error.
+    selects the law point. Every run is one layer wide, with the n_layers
+    whose 12 * n_layers is nearest its drawn n_nv: fit fixtures, not plausible
+    models. An overflowing budget or draw, or an n_nv 20% off every such shape,
+    fails its check; the first row to break a run rule fails with its error.
     """
     laws, sigma = spec.laws, spec.noise_sigma_log10
     grid, per_budget = spec.c_grid_log10.values_log10(), spec.runs_per_budget
     run_id = [f"synth-{i:03d}-{j:02d}" for i in range(len(grid)) for j in range(per_budget)]
-    counts = np.empty((len(run_id), 6), dtype=np.int64)  # the six integer fields
+    counts = np.empty((len(run_id), 3), dtype=np.int64)  # n_layers, vocab_size, tokens_trained
     flops, losses = np.empty(len(run_id)), np.empty(len(run_id))
     z, u = np.empty((per_budget, 3)), np.empty(per_budget)
     for i, x in enumerate(grid):
@@ -132,14 +114,22 @@ def synth_runs(spec: SynthSpec) -> RunTable:
             n_v, n_nv, d_tokens = n_v_law * p0, n_nv_law * p1, d_law * p2
             _check_real("n_v", n_v, "non-negative")
             _check_real("d_tokens", d_tokens, "non-negative")
-            n_layers, n_heads, d_model = config_for_params(n_nv)
-            row = (n_layers, n_heads, d_model, 1024, max(1, int(math.floor(n_v / d_model + 0.5))),
+            _check_real("n_nv_target", n_nv, "positive")
+            n_layers = int(math.floor(n_nv / _PARAM_GRANULE + 0.5))
+            if n_layers < 1:
+                raise ValueError(
+                    f"target {n_nv} is below the smallest valid config ({_PARAM_GRANULE} params)")
+            if abs(_PARAM_GRANULE * n_layers - n_nv) > _PARAM_REL_TOL * n_nv:
+                raise ValueError(f"no config within {_PARAM_REL_TOL:.0%} of target {n_nv}")
+            row = (n_layers, max(1, int(math.floor(n_v + 0.5))),
                    max(1, int(math.floor(d_tokens + 0.5))))
             if max(row) > _INT64_MAX or not math.isfinite(loss_k):
-                RunRecord(rid, *row, c, loss_k)  # raises the error of the rule broken
+                RunRecord(rid, row[0], 1, 1, 1024, *row[1:], c, loss_k)  # raises the rule broken
             rows.append(row)
         counts[budget], flops[budget], losses[budget] = rows, c, loss
-    return RunTable._of(run_id, *counts.T, flops, losses)
+    ones = np.ones(len(run_id), dtype=np.int64)  # n_heads and d_model; n_ctx is 1024
+    return RunTable._of(run_id, counts[:, 0], ones, ones, 1024 * ones, *counts[:, 1:].T, flops,
+                        losses)
 
 
 def _uniform_code_latents(n: int, lv: FsqLevels, rng: np.random.Generator) -> np.ndarray:

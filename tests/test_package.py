@@ -32,7 +32,7 @@ EXPORTS = {
     # seqmodel
     "PrefixMask", "TokenProbRecord", "build_prefix_mask", "ce_loss", "normalized_loss",
     # synth
-    "CGridSpec", "SynthSpec", "config_for_params", "synth_runs", "synth_latents",
+    "CGridSpec", "SynthSpec", "synth_runs", "synth_latents",
     # vq
     "VqAssignment", "VqCodebook", "VqResetResult", "VqTrainParams", "vq_assign",
     "vq_ema_update", "vq_quantize", "vq_reset",
@@ -62,6 +62,16 @@ def test_every_exported_name_is_reached():
         if not re.search(rf"\b{name}\b", outside) and uses <= definitions:
             unreached.append(name)
     assert unreached == []
+
+
+def test_readme_layout_names_only_modules_and_exports():
+    """Each backticked name in README's "Library layout" table is a scamo_lab module or an
+    exported name, so a deleted name cannot stay listed there."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = re.search(r"(?m)^## Library layout\n\n((?:\|.*\n)+)", readme).group(1)
+    names = re.findall(r"`([^`]+)`", table)
+    modules = {f"scamo_lab.{path.stem}" for path in Path(scamo_lab.__file__).parent.glob("*.py")}
+    assert names and [n for n in names if n not in modules | set(scamo_lab.__all__)] == []
 
 
 def test_every_private_module_name_is_reached():
@@ -193,7 +203,6 @@ REALS = [
     ("CGridSpec.max_log10", "max_log10", "finite", lambda v: scamo_lab.CGridSpec(14.0, v, 2)),
     ("SynthSpec", "noise_sigma_log10", "non-negative",
      lambda v: scamo_lab.SynthSpec(PAPER_FITS, GRID, noise_sigma_log10=v)),
-    ("config_for_params", "n_nv_target", "positive", lambda v: scamo_lab.config_for_params(v)),
     ("VqTrainParams.reset_threshold", "reset_threshold", "non-negative",
      lambda v: scamo_lab.VqTrainParams(reset_threshold=v)),
     ("TokenProbRecord.model_logp", "model_logp", "non-positive",

@@ -25,7 +25,6 @@ from scamo_lab import (
     RunTable,
     ScalingFits,
     SynthSpec,
-    config_for_params,
     load_runs,
     pareto_frontier,
     synth_runs,
@@ -73,6 +72,17 @@ def reference_load_runs(source):
     return records
 
 
+def reference_width_1_layers(n_nv):
+    """The n_layers whose 12 * n_layers (width 1, ff_ratio 4) is nearest n_nv, within 20%."""
+    _check_real("n_nv_target", n_nv, "positive")
+    n_layers = int(math.floor(n_nv / 12 + 0.5))
+    if n_layers < 1:
+        raise ValueError(f"target {n_nv} is below the smallest valid config (12 params)")
+    if abs(12 * n_layers - n_nv) > 0.2 * n_nv:
+        raise ValueError(f"no config within 20% of target {n_nv}")
+    return n_layers
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def reference_synth_runs(spec):
     records = []
@@ -93,11 +103,9 @@ def reference_synth_runs(spec):
                 loss_opt = loss
             else:
                 loss = loss_opt + rng.uniform(0.01, 0.5)
-            n_layers, n_heads, d_model = config_for_params(n_nv)
             records.append(RunRecord(
-                run_id=f"synth-{i:03d}-{j:02d}", n_layers=n_layers, n_heads=n_heads,
-                d_model=d_model, n_ctx=1024,
-                vocab_size=max(1, int(math.floor(n_v / d_model + 0.5))),
+                run_id=f"synth-{i:03d}-{j:02d}", n_layers=reference_width_1_layers(n_nv),
+                n_heads=1, d_model=1, n_ctx=1024, vocab_size=max(1, int(math.floor(n_v + 0.5))),
                 tokens_trained=max(1, int(math.floor(d_tokens + 0.5))),
                 flops=c, normalized_loss=float(loss)))
     return records
@@ -161,19 +169,25 @@ FAULTS = {
 }
 
 
+VALID_KINDS = [None, "no flops", "reordered", "blank", "int flops", "int loss", "null flops"]
+
+
 @st.composite
 def run_logs(draw) -> str:
     lines, ids = [], []
-    for _ in range(draw(st.integers(0, 8))):
+    valid = draw(st.booleans())  # about half the logs take only the kinds that keep a line valid
+    for k in range(draw(st.integers(0, 8))):
         heads = draw(st.integers(1, 8))
         row = {"run_id": draw(IDS), "n_layers": draw(COUNTS), "n_heads": heads,
                "d_model": heads * draw(st.integers(1, 2**20)), "n_ctx": draw(COUNTS),
                "vocab_size": draw(COUNTS), "tokens_trained": draw(COUNTS),
                "flops": draw(st.floats(1e-3, 1e300)), "normalized_loss": draw(FINITE)}
-        kind = draw(st.sampled_from([None, None, None, "missing", "unknown", "no flops",
-                                     "reordered", "duplicate", "not an object", "not json",
-                                     "blank", "bom", "trailing data", "padded", "nan count",
-                                     *FAULTS]))
+        if valid:
+            row["run_id"] += str(k)  # unique, as IDS has no digits
+        kind = draw(st.sampled_from(VALID_KINDS if valid else [
+            None, None, None, "missing", "unknown", "no flops", "reordered", "duplicate",
+            "not an object", "not json", "blank", "bom", "trailing data", "padded", "nan count",
+            *FAULTS]))
         if kind in FAULTS:
             row.update(FAULTS[kind](draw, row))
         elif kind == "missing":
@@ -293,6 +307,8 @@ SYNTH_SPECS = {
     "noise crosses int64": SynthSpec(_laws(nv_vs_c=7.0), CGridSpec(14.0, 18.0, 9), 20, 1.0, 5),
     "loss past float range": SynthSpec(_laws(loss_vs_c=1e308), CGridSpec(14.0, 15.0, 2), 2,
                                        0.0, 1),
+    # vocab_size keeps every bit of n_v_law * 10.0 ** s, so a pow off by one ulp shows
+    "n_v past 2**53": SynthSpec(_laws(nv_vs_c=5.0), CGridSpec(14.0, 18.0, 20), 50, 0.05, 1),
 }
 
 

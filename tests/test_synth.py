@@ -1,6 +1,9 @@
 """Synthetic latents and synthetic scaling sweeps."""
 
+import dataclasses
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -9,11 +12,12 @@ from scamo_lab import (
     FITS_PRESETS,
     LEVEL_PRESETS,
     CGridSpec,
+    PowerLawFit,
     SynthSpec,
-    config_for_params,
     fit_all,
     fsq_quantize,
     load_runs,
+    params_non_embedding,
     pareto_frontier,
     synth_latents,
     synth_runs,
@@ -58,28 +62,36 @@ def test_spec_validation():
         make_spec(seed=1.5)
 
 
-def test_config_for_params_roundtrip():
+def width_1_runs(nnv_law, grid_log10):
+    """One noiseless run at one budget, with n_nv set by nnv_law alone."""
+    laws = dataclasses.replace(LAWS, nnv_vs_c=nnv_law)
+    return synth_runs(make_spec(laws=laws, c_grid_log10=CGridSpec(grid_log10, grid_log10, 1),
+                                runs_per_budget=1))
+
+
+def test_synth_runs_width_1_rule_roundtrip():
     for target in (12, 24, 1e6, 3.7e8, 2.9e9):
-        n_layers, n_heads, d_model = config_for_params(target)
-        achieved = 12 * n_layers * d_model**2
-        assert n_heads == 1 and d_model == 1
-        assert abs(achieved - target) <= 6 or abs(achieved - target) <= 0.2 * target
+        (run,) = width_1_runs(PowerLawFit(math.log10(target), 0.0), 15.0)
+        assert (run.n_heads, run.d_model, run.n_ctx) == (1, 1, 1024)
+        assert params_non_embedding(run.config()) == 12 * run.n_layers
+        assert abs(12 * run.n_layers - target) <= 6
 
 
-def test_config_for_params_nearest():
-    assert config_for_params(12) == (1, 1, 1)
-    assert config_for_params(13) == (1, 1, 1)
-    assert config_for_params(30) == (3, 1, 1)  # midpoint rounds up
-    assert config_for_params(120) == (10, 1, 1)
+def test_synth_runs_width_1_rule_nearest():
+    # at c = 10, n_nv = 10 * k exactly
+    for k, n_layers in [(1.0, 1), (1.2, 1), (3.0, 3), (10.0, 8)]:  # 10 is 20% off; 30 rounds up
+        assert width_1_runs(PowerLawFit(math.log10(k), 1.0), 1.0)[0].n_layers == n_layers
 
 
-def test_config_for_params_errors():
-    with pytest.raises(ValueError, match="below the smallest"):
-        config_for_params(4.0)
-    with pytest.raises(ValueError, match="within"):
-        config_for_params(17.0)  # nearest multiple of 12 is off by > 20%
-    with pytest.raises(ValueError):
-        config_for_params(-5.0)
+def test_synth_runs_width_1_rule_errors():
+    for nnv_law, message in [
+        (PowerLawFit(-400.0, 0.57), "n_nv_target must be positive and finite, got 0.0"),
+        (PowerLawFit(-7.5, 0.57),
+         "target 3.0199517204020117 is below the smallest valid config (12 params)"),
+        (PowerLawFit(math.log10(17.0), 0.0), "no config within 20% of target 17.0"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            width_1_runs(nnv_law, 14.0)
 
 
 def test_synth_runs_shape_and_ids():
