@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Every subcommand computes its full result first and only then writes it, each
-file through a temp file beside it, so a failure never leaves a file behind.
-Results go to stdout as JSON (or JSONL for record streams) unless --out is
-given; diagnostics go to stderr.
+Every subcommand finishes every check before it writes the first byte, then
+writes its output in chunks (a run log 4096 rows at a time), each file through
+a temp file beside it, so a failure never leaves a file behind; stdout is
+partial only when stdout itself fails. Results go to stdout as JSON (or JSONL
+for record streams) unless --out is given; diagnostics go to stderr.
 Output is deterministic: fixed key order, floats at 17 significant digits.
 
 Exit codes: 0 success, 1 invalid input or data, 2 usage errors.
@@ -22,6 +23,7 @@ import os
 import re
 import sys
 import warnings
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -153,42 +155,47 @@ _RUN_LINE = "{" + ", ".join(
     f'"{name}": %{".17g" if name in _REAL_FIELDS else "s"}' for name in RUN_FIELDS) + "}\n"
 
 
-def _run_lines(runs: RunTable) -> str:
-    """The runs as JSONL, each line dumps_line(run.to_dict()), formatted column by column a
-    chunk of rows at a time, so that only one chunk's values are Python objects at once."""
-    parts = []
+def _run_lines(runs: RunTable) -> Iterator[str]:
+    """The runs as JSONL, each line dumps_line(run.to_dict()), formatted column by column and
+    yielded a chunk of rows at a time, so that only one chunk's text and values are held."""
+    if not len(runs):
+        yield "\n"  # no runs: one empty line
     for start in range(0, len(runs), _CHUNK_ROWS):
         chunk = runs[start:start + _CHUNK_ROWS]
         columns = [map(json.encoder.encode_basestring_ascii, chunk.run_id)]  # as json.dumps
         columns += (getattr(chunk, name).tolist() for name in RUN_FIELDS[1:])
-        parts.append("".join(map(_RUN_LINE.__mod__, zip(*columns))))
-    return "".join(parts) or "\n"  # no runs: one empty line
+        yield "".join(map(_RUN_LINE.__mod__, zip(*columns)))
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns the full output text and writes nothing
-# (frontier also returns its --csv file)
+# subcommand handlers; each checks everything, writes nothing and returns its output as an
+# iterable of text chunks (frontier also adds its --csv file to args.files)
 
 
-def _cmd_flops(args) -> str:
+def _document(obj) -> tuple[str]:
+    """The output of a JSON document: its text as one chunk."""
+    return (dumps(obj) + "\n",)
+
+
+def _cmd_flops(args) -> Iterable[str]:
     cfg = ModelConfig(args.layers, args.heads, args.d_model, args.ctx, args.vocab, args.ff_ratio)
-    return dumps(dataclasses.asdict(flops_per_token_exact(cfg))) + "\n"
+    return _document(dataclasses.asdict(flops_per_token_exact(cfg)))
 
 
 _FSQ_ACTIONS = {"quantize": fsq_quantize, "dequantize": fsq_dequantize,
                 "encode": fsq_encode_index, "decode": fsq_decode_index}
 
 
-def _cmd_fsq(args) -> str:
+def _cmd_fsq(args) -> Iterable[str]:
     lv = _parse_levels(args)
     try:
         data = json.loads(_read_text(args.infile))
     except json.JSONDecodeError as exc:
         raise ValueError(f"input is not valid JSON: {exc}")
-    return dumps(_FSQ_ACTIONS[args.action](data, lv)) + "\n"
+    return _document(_FSQ_ACTIONS[args.action](data, lv))
 
 
-def _cmd_vq(args) -> str:
+def _cmd_vq(args) -> Iterable[str]:
     latents = _load_csv_matrix(args.latents, "latents")
     entries = _load_csv_matrix(args.codebook, "codebook")
     if latents.shape[1] != entries.shape[1]:
@@ -199,10 +206,10 @@ def _cmd_vq(args) -> str:
     indices = vq_assign(latents, codebook)
     hist = CodeUsageHistogram(np.bincount(indices, minlength=codebook.size))
     metrics = codebook_metrics(hist)._asdict()
-    return dumps({"counts": hist.counts, "total": hist.total, **metrics}) + "\n"
+    return _document({"counts": hist.counts, "total": hist.total, **metrics})
 
 
-def _cmd_normloss(args) -> str:
+def _cmd_normloss(args) -> Iterable[str]:
     rows = list(csv.reader(io.StringIO(_read_text(args.infile))))
     rows = [row for row in rows if row]
     if rows and any(_not_float(cell) for cell in rows[0]):
@@ -218,13 +225,13 @@ def _cmd_normloss(args) -> str:
     if not records:
         raise ValueError("no (model_logp, baseline_logp) rows in input")
     ce = ce_loss(records)
-    return dumps(
+    return _document(
         {
             "sum_ce": ce["sum_nats"],
             "mean_ce": ce["mean_nats"],
             "normalized_loss": normalized_loss(records),
         }
-    ) + "\n"
+    )
 
 
 def _not_float(cell: str) -> bool:
@@ -235,7 +242,7 @@ def _not_float(cell: str) -> bool:
         return True
 
 
-def _cmd_ingest(args) -> str:
+def _cmd_ingest(args) -> Iterable[str]:
     return _run_lines(_read_runs(args.runs))
 
 
@@ -244,9 +251,9 @@ def _frontier_rows(args) -> list:
     return pareto_frontier(runs, bin_width_log10=args.bin_width)
 
 
-def _cmd_frontier(args) -> tuple[str, dict[str, str]]:
-    """The frontier JSON text, plus the table of its numeric columns keyed by
-    the --csv path when one is given."""
+def _cmd_frontier(args) -> Iterable[str]:
+    """The frontier JSON text; the table of its numeric columns goes to args.files under the
+    --csv path when one is given."""
     if args.csv is not None and args.out and os.path.realpath(args.csv) == os.path.realpath(args.out):
         raise ValueError(f"--csv and --out name the same file {args.out!r}")
     rows = [
@@ -263,25 +270,26 @@ def _cmd_frontier(args) -> tuple[str, dict[str, str]]:
     ]
     columns = ("flops", "n_nv", "n_v", "d_tokens", "loss")
     table = [",".join(columns)] + [",".join(_fmt_float(row[c]) for c in columns) for row in rows]
-    csv_file = {args.csv: "\n".join(table) + "\n"} if args.csv is not None else {}
-    return dumps(rows) + "\n", csv_file
+    if args.csv is not None:
+        args.files[args.csv] = ("\n".join(table) + "\n",)
+    return _document(rows)
 
 
-def _cmd_fit(args) -> str:
-    return dumps(fit_all(_frontier_rows(args)).to_json_dict()) + "\n"
+def _cmd_fit(args) -> Iterable[str]:
+    return _document(fit_all(_frontier_rows(args)).to_json_dict())
 
 
-def _cmd_plan(args) -> str:
+def _cmd_plan(args) -> Iterable[str]:
     fits = _resolve_fits(args.fits)
     plan = plan_budget(args.flops, fits, args.d_model, rescale_d=args.rescale_d)
     doc = plan.to_json_dict()
     reference = REFERENCE_PRESETS.get(args.fits)
     if reference is not None:
         doc["reference_comparison"] = consistency_report(plan, reference)
-    return dumps(doc) + "\n"
+    return _document(doc)
 
 
-def _cmd_synth(args) -> str:
+def _cmd_synth(args) -> Iterable[str]:
     spec = SynthSpec(
         laws=_resolve_fits(args.laws),
         c_grid_log10=CGridSpec(args.grid_min, args.grid_max, args.grid_points),
@@ -374,35 +382,36 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return exc.code if isinstance(exc.code, int) else 2
+    args.files = {}  # output files by path, each an iterable of text chunks
     try:
-        result = args.handler(args)
-        text, files = result if isinstance(result, tuple) else (result, {})
+        chunks = args.handler(args)
         if args.out:
-            files[args.out] = text
-        _write_files(files)
+            args.files[args.out] = chunks
+        _write_files(args.files)
+        if not args.out:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()  # a full disk or closed pipe fails here, not at exit
     except (ValueError, OSError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if not args.out:
-        sys.stdout.write(text)
     return 0
 
 
-def _write_files(files: dict[str, str]) -> None:
-    """Write every file to a temp file beside it, then move each into place.
+def _write_files(files: dict[str, Iterable[str]]) -> None:
+    """Write every file's chunks, in order, to a temp file beside it, then move each into place.
 
     No file is created unless all of them were written; errors name the
     target path, not the temp file.
     """
     moves: list[tuple[str, str]] = []
     try:
-        for path, text in files.items():
+        for path, chunks in files.items():
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
             tmp = f"{path}.{os.getpid()}.tmp"
             with open(tmp, "x", encoding="utf-8") as fh:
                 moves.append((tmp, path))
-                fh.write(text)
+                fh.writelines(chunks)
         for tmp, path in moves:
             os.replace(tmp, path)
     except OSError as exc:

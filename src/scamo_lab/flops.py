@@ -120,7 +120,10 @@ def _check_int_array(name: str, value, shape, minimum: int, maximum=None) -> np.
     array = _shaped(name, array, shape)
     if not wide:
         array = array.astype(np.int64, copy=False)
-    if wide or array.min() < minimum or (maximum is not None and (array > maximum).any()):
+    blocks = ((array[i:i + 8192] for i in range(0, len(array), 8192))  # no full-size temporary
+              if array.ndim > np.ndim(maximum) else (array,))  # a scalar or one row of channels
+    if wide or not all(block.min() >= minimum and (maximum is None or (block <= maximum).all())
+                       for block in blocks):
         bounds = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
         raise ValueError(f"{name} must be integers {bounds}")
     return array

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -104,13 +105,24 @@ def synth_runs(spec: SynthSpec) -> RunTable:
             u[j] = rng.random() if j else rng.standard_normal()
         loss = laws.loss_vs_c.slope * x + laws.loss_vs_c.intercept + (0.0 + sigma * u[:1])
         loss = np.concatenate([loss, loss + (0.01 + (0.5 - 0.01) * u[1:])])
-        rows = []
-        for rid, (s0, s1, s2), loss_k in zip(run_id[budget], (0.0 + sigma * z).tolist(),
-                                             loss.tolist()):
+        s, rows = 0.0 + sigma * z, counts[budget]
+        try:  # a scalar pow a value, as below: numpy's array pow may differ from it by an ulp
+            p = np.fromiter(map(pow, repeat(10.0), s.ravel().tolist()), np.float64, s.size)
+        except OverflowError:  # such a budget fails: every row goes to the per-row rules
+            ok = np.zeros(per_budget, dtype=bool)
+        else:  # the per-row rules on arrays: laws and pows are >= 0 or nan, so the int64 bound
+            # refuses a nan or inf value and n_layers >= 1 a zero n_nv
+            n_v, n_nv, d_tokens = p.reshape(s.shape).T * np.array([[n_v_law], [n_nv_law], [d_law]])
+            shape = np.floor(np.array([n_nv / _PARAM_GRANULE, n_v, d_tokens]) + 0.5)
+            ok = ((shape[0] >= 1) & (abs(_PARAM_GRANULE * shape[0] - n_nv) <= _PARAM_REL_TOL * n_nv)
+                  & (shape.max(axis=0) < 2.0**63) & np.isfinite(loss))
+            rows[:] = np.maximum(shape, 1).T  # a flagged row's values are replaced below
+        for k in np.flatnonzero(~ok):  # the per-row rules in order: the first row broken raises
+            s0, s1, s2 = s[k].tolist()
             try:
                 p0, p1, p2 = 10.0 ** s0, 10.0 ** s1, 10.0 ** s2
             except OverflowError:  # numpy's scalar pow gives inf, which the checks below report
-                p0, p1, p2 = (np.float64(10.0) ** s for s in (s0, s1, s2))
+                p0, p1, p2 = (np.float64(10.0) ** v for v in (s0, s1, s2))
             n_v, n_nv, d_tokens = n_v_law * p0, n_nv_law * p1, d_law * p2
             _check_real("n_v", n_v, "non-negative")
             _check_real("d_tokens", d_tokens, "non-negative")
@@ -123,10 +135,10 @@ def synth_runs(spec: SynthSpec) -> RunTable:
                 raise ValueError(f"no config within {_PARAM_REL_TOL:.0%} of target {n_nv}")
             row = (n_layers, max(1, int(math.floor(n_v + 0.5))),
                    max(1, int(math.floor(d_tokens + 0.5))))
-            if max(row) > _INT64_MAX or not math.isfinite(loss_k):
-                RunRecord(rid, row[0], 1, 1, 1024, *row[1:], c, loss_k)  # raises the rule broken
-            rows.append(row)
-        counts[budget], flops[budget], losses[budget] = rows, c, loss
+            if max(row) > _INT64_MAX or not math.isfinite(loss[k]):  # raises the rule broken
+                RunRecord(run_id[budget.start + k], row[0], 1, 1, 1024, *row[1:], c, float(loss[k]))
+            rows[k] = row
+        flops[budget], losses[budget] = c, loss
     ones = np.ones(len(run_id), dtype=np.int64)  # n_heads and d_model; n_ctx is 1024
     return RunTable._of(run_id, counts[:, 0], ones, ones, 1024 * ones, *counts[:, 1:].T, flops,
                         losses)

@@ -1,9 +1,11 @@
 """CLI surface: subcommands, exit codes, deterministic output."""
 
+import errno
 import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -525,11 +527,66 @@ def test_failed_write_is_one_error_line_and_no_file(invoke, tmp_path, monkeypatc
     assert list((tmp_path / "existing-dir").iterdir()) == []
 
 
+FLOPS_ARGV = ["flops", "--layers", "8", "--heads", "8", "--d-model", "512", "--ctx", "1024",
+              "--vocab", "65536"]
+
+
+class CountedStdout(io.StringIO):
+    """A stdout that keeps each write and, after `room` of them, fails as a full disk does."""
+
+    def __init__(self, room=math.inf):
+        super().__init__()
+        self.room, self.writes = room, []
+
+    def write(self, text):
+        if len(self.writes) >= self.room:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.fixture
+def log_8193(tmp_path):
+    """A valid 8193-run log: two whole 4096-row chunks and one row."""
+    log = tmp_path / "runs.jsonl"
+    assert run(["synth", "--grid-points", "1", "--runs-per-budget", "8193", "--out", str(log)]) == 0
+    return log
+
+
+def test_stdout_takes_a_document_whole_and_a_run_log_a_chunk_at_a_time(
+        invoke, monkeypatch, log_8193):
+    ingest = ["ingest", "--runs", str(log_8193)]
+    for argv, lines in ((FLOPS_ARGV, [9]), (ingest, [4096, 4096, 1])):  # one write a chunk
+        monkeypatch.setattr(sys, "stdout", stdout := CountedStdout())
+        assert invoke(argv) == (0, "", "")
+        assert [chunk.count("\n") for chunk in stdout.writes] == lines
+    assert stdout.getvalue() == log_8193.read_text()
+
+
+@pytest.mark.parametrize("command, room", [("flops", 0), ("ingest", 0), ("ingest", 1)])
+def test_a_failing_stdout_is_one_error_line(invoke, monkeypatch, log_8193, command, room):
+    argv = FLOPS_ARGV if command == "flops" else ["ingest", "--runs", str(log_8193)]
+    monkeypatch.setattr(sys, "stdout", stdout := CountedStdout(room))
+    code, _, err = invoke(argv)
+    assert (code, err) == (1, "error: [Errno 28] No space left on device\n")
+    # stdout holds the chunks it took before it failed, and nothing else
+    assert stdout.getvalue() == "".join(log_8193.read_text().splitlines(True)[:4096 * room])
+
+
+@pytest.mark.parametrize("out", [None, "out.jsonl"])
+def test_a_bad_last_line_writes_no_byte(invoke, monkeypatch, log_8193, out):
+    monkeypatch.chdir(log_8193.parent)
+    with log_8193.open("a") as fh:
+        fh.write('{"run_id": "last"}\n')
+    code, stdout, err = invoke(["ingest", "--runs", "runs.jsonl", *(["--out", out] if out else [])])
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: ") and "line 8194" in err and len(err.splitlines()) == 1
+    assert [p.name for p in log_8193.parent.iterdir()] == ["runs.jsonl"]
+
+
 def test_flops_out_writes_its_output(invoke, tmp_path):
-    argv = ["flops", "--layers", "8", "--heads", "8", "--d-model", "512", "--ctx", "1024",
-            "--vocab", "65536"]
-    _, stdout, _ = invoke(argv)
-    code, out, _ = invoke([*argv, "--out", str(tmp_path / "f.json")])
+    _, stdout, _ = invoke(FLOPS_ARGV)
+    code, out, _ = invoke([*FLOPS_ARGV, "--out", str(tmp_path / "f.json")])
     assert code == 0 and out == ""
     assert (tmp_path / "f.json").read_text() == stdout
 

@@ -8,6 +8,7 @@ the same error text, line numbers included.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from scamo_lab import (
     synth_runs,
 )
 from scamo_lab import core
-from scamo_lab.cli import _run_lines, dumps_line
+from scamo_lab.cli import _run_lines, _write_files, dumps_line, run
 from scamo_lab.flops import _check_real
 
 # ---------------------------------------------------------------------------
@@ -240,14 +241,14 @@ def test_load_runs_matches_the_per_row_reference(text):
     assert error == ref_error
     if error is None:
         assert isinstance(table, RunTable) and table == records
-        assert _run_lines(table) == reference_run_lines(records)
+        assert "".join(_run_lines(table)) == reference_run_lines(records)
 
 
 def test_load_runs_builds_records_only_for_the_rows_without_flops(monkeypatch):
     # flops over 1e19-1e23 are floats past 2**63 - 1; with every other row lacking flops the
     # column leaves the screen's fast path, where only an int may be flagged by its size
     spec = SynthSpec(PAPER, CGridSpec(19.1, 23.1, 20), 10, 0.05, 1)
-    rows = [json.loads(line) for line in _run_lines(synth_runs(spec)).splitlines()]
+    rows = [json.loads(line) for line in "".join(_run_lines(synth_runs(spec))).splitlines()]
     for row in rows[1::2]:
         del row["flops"]
     log, built = "\n".join(map(json.dumps, rows)), []
@@ -309,6 +310,15 @@ SYNTH_SPECS = {
                                        0.0, 1),
     # vocab_size keeps every bit of n_v_law * 10.0 ** s, so a pow off by one ulp shows
     "n_v past 2**53": SynthSpec(_laws(nv_vs_c=5.0), CGridSpec(14.0, 18.0, 20), 50, 0.05, 1),
+    # n_nv near 17, 12 * 1 and 12 * 2 both 20% off it: rows 0-5 pass, row 6 fails that rule
+    "20% miss at row 6": SynthSpec(_laws(nnv_vs_c=-6.65), CGridSpec(14.0, 14.0, 1), 8, 0.05, 1),
+    # row 1 breaks the int64 bound, a rule checked last; rows 3, 4 and 7 break the 20% rule,
+    # checked before it: the earlier row's error wins
+    "int64 at row 1, 20% at row 3": SynthSpec(_laws(nv_vs_c=8.4, nnv_vs_c=-6.65),
+                                              CGridSpec(14.0, 14.0, 1), 8, 0.05, 2),
+    # vocab_size 2**63 - 36864, - 15360 and - 19456 on rows 0-2, then exactly 2**63 on row 3
+    "vocab at 2**63": SynthSpec(_laws(nv_vs_c=math.log10(2.0**63) - 0.75 * 14),
+                                CGridSpec(14.0, 14.0, 1), 12, 2e-15, 96),
 }
 
 
@@ -319,13 +329,22 @@ def test_synth_runs_matches_the_per_row_reference(spec):
     assert error == ref_error
     if error is None:
         assert isinstance(table, RunTable) and table == records
-        assert _run_lines(table) == reference_run_lines(records)
+        assert "".join(_run_lines(table)) == reference_run_lines(records)
 
 
 def test_the_overflowing_specs_fail():
     for name in ("noise overflow", "budget overflow", "vocab past int64", "layers past int64",
                  "tokens past int64", "noise crosses int64", "loss past float range"):
         assert outcome(synth_runs, SYNTH_SPECS[name])[1] is not None, name
+
+
+def test_synth_runs_words_the_first_failing_row_of_a_budget():
+    assert outcome(synth_runs, SYNTH_SPECS["20% miss at row 6"])[1][1] == (
+        "no config within 20% of target 17.200827388592874")
+    assert outcome(synth_runs, SYNTH_SPECS["int64 at row 1, 20% at row 3"])[1][1] == (
+        "vocab_size must be an integer in [1, 9223372036854775807], got 9772042995520368640")
+    assert outcome(synth_runs, SYNTH_SPECS["vocab at 2**63"])[1][1] == (
+        "vocab_size must be an integer in [1, 9223372036854775807], got 9223372036854775808")
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +417,32 @@ def valid_records(draw):
 @given(st.lists(valid_records(), max_size=6, unique_by=lambda r: r.run_id))
 def test_writer_matches_the_per_row_reference_byte_for_byte(records):
     table = RunTable(records)
-    assert _run_lines(table) == reference_run_lines(records)
-    assert load_runs(_run_lines(table)) == table
+    assert "".join(_run_lines(table)) == reference_run_lines(records)
+    assert load_runs("".join(_run_lines(table))) == table
+
+
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193])
+def test_writer_chunk_edges_match_the_reference_and_ingest_out(n, tmp_path, capsys):
+    table = synth_runs(SynthSpec(PAPER, CGridSpec(15.0, 15.0, 1), n, 0.05, 7)) if n else RunTable()
+    text = reference_run_lines(list(table))
+    assert "".join(_run_lines(table)) == text
+    (tmp_path / "runs.jsonl").write_text(text)
+    argv = ["ingest", "--runs", str(tmp_path / "runs.jsonl")]
+    assert run(argv) == 0 and run([*argv, "--out", str(tmp_path / "out.jsonl")]) == 0
+    assert capsys.readouterr().out == (tmp_path / "out.jsonl").read_text() == text
+
+
+def test_writer_holds_one_chunk_not_the_whole_text(tmp_path):
+    table = synth_runs(SynthSpec(PAPER, CGridSpec(14.1, 18.1, 40), 500, 0.05, 1))
+    tracemalloc.start()
+    try:
+        _write_files({str(tmp_path / "runs.jsonl"): _run_lines(table)})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 4096-row chunk's text, row strings and column values take 0.71 of the 20k-run text;
+    # joining the whole text before writing it takes 2.2 of it
+    assert len(table) == 20_000 and peak < 0.8 * (tmp_path / "runs.jsonl").stat().st_size
 
 
 def test_table_rows_slices_and_equality():
