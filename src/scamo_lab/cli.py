@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Every subcommand finishes every check before it writes the first byte, then
-writes its output in chunks (a run log 4096 rows at a time), each file through
+writes its output in chunks (a run log 1024 rows at a time), each file through
 a temp file beside it, so a failure never leaves a file behind; stdout is
 partial only when stdout itself fails. Results go to stdout as JSON (or JSONL
 for record streams) unless --out is given; diagnostics go to stderr.

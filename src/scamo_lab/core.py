@@ -8,6 +8,7 @@ approximation. Every run is costed with a feed-forward width of 4 * d_model.
 
 from __future__ import annotations
 
+import array
 import contextlib
 import dataclasses
 import itertools
@@ -208,22 +209,28 @@ def load_runs(source: IO[str] | IO[bytes] | Iterable[str] | Iterable[bytes] | st
         source = source.split("\n" if isinstance(source, str) else b"\n")
     errors: list[tuple[int, str]] = []
     rows = _parsed(source, errors)
-    chunks = []  # a chunk's values live as Python objects only until they are checked
+    # a chunk's values live as Python objects only until they are checked; the kept ones grow
+    # each column in place, so no chunk's arrays outlive it and no column is joined at the end
+    run_id, linenos = [], array.array("q")
+    columns = {name: array.array("d" if name in _REAL_FIELDS else "q") for name in RUN_FIELDS[1:]}
     while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
-        chunks.append(_checked(chunk, errors))
-    run_id = [rid for ids, _, _ in chunks for rid in ids]
+        ids, numbers, arrays = _checked(chunk, errors)
+        run_id += ids
+        linenos.extend(numbers)
+        for name, values in arrays.items():
+            columns[name].frombytes(values.tobytes())
     if len(set(run_id)) < len(run_id):
         first_line: dict[str, int] = {}
-        for rid, lineno in zip(run_id, (n for _, linenos, _ in chunks for n in linenos)):
+        for rid, lineno in zip(run_id, linenos):
             if (earlier := first_line.setdefault(rid, lineno)) != lineno:
                 errors.append((lineno, f"duplicate run_id {rid!r} (first on line {earlier})"))
     if errors:
         raise RunLogError(sorted(errors))
-    parts = [arrays for _, _, arrays in chunks] or [dict.fromkeys(RUN_FIELDS[1:], ())]
-    return RunTable._of(run_id, *(np.concatenate([p[name] for p in parts]) for name in RUN_FIELDS[1:]))
+    return RunTable._of(run_id, *(np.frombuffer(columns[name], dtype=columns[name].typecode)
+                                  for name in RUN_FIELDS[1:]))
 
 
-_CHUNK_ROWS = 4096
+_CHUNK_ROWS = 1024
 _scan = json.JSONDecoder().scan_once
 
 

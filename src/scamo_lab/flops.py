@@ -120,9 +120,11 @@ def _check_int_array(name: str, value, shape, minimum: int, maximum=None) -> np.
     array = _shaped(name, array, shape)
     if not wide:
         array = array.astype(np.int64, copy=False)
-    blocks = ((array[i:i + 8192] for i in range(0, len(array), 8192))  # no full-size temporary
-              if array.ndim > np.ndim(maximum) else (array,))  # a scalar or one row of channels
-    if wide or not all(block.min() >= minimum and (maximum is None or (block <= maximum).all())
+    rows = array.reshape(-1, *np.shape(maximum))  # a view: rows of one value or of channels
+    blocks = (rows[i:i + 8192] for i in range(0, len(rows), 8192))  # no full-size temporary
+    # the maximum as one whole block, made once: a block compares in one flat loop, not per row
+    top = None if maximum is None else np.broadcast_to(maximum, rows[:8192].shape).copy()
+    if wide or not all(block.min() >= minimum and (top is None or (block <= top[:len(block)]).all())
                        for block in blocks):
         bounds = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
         raise ValueError(f"{name} must be integers {bounds}")

@@ -139,9 +139,9 @@ def synth_runs(spec: SynthSpec) -> RunTable:
                 RunRecord(run_id[budget.start + k], row[0], 1, 1, 1024, *row[1:], c, float(loss[k]))
             rows[k] = row
         flops[budget], losses[budget] = c, loss
-    ones = np.ones(len(run_id), dtype=np.int64)  # n_heads and d_model; n_ctx is 1024
-    return RunTable._of(run_id, counts[:, 0], ones, ones, 1024 * ones, *counts[:, 1:].T, flops,
-                        losses)
+    # n_heads = d_model = 1 and n_ctx = 1024 for every run: read-only views of one value each
+    one, n_ctx = (np.broadcast_to(np.int64(value), len(run_id)) for value in (1, 1024))
+    return RunTable._of(run_id, counts[:, 0], one, one, n_ctx, *counts[:, 1:].T, flops, losses)
 
 
 def _uniform_code_latents(n: int, lv: FsqLevels, rng: np.random.Generator) -> np.ndarray:

@@ -17,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from scamo_lab import FITS_PRESETS, ScalingFits, load_runs
 from scamo_lab.cli import _fmt_float, dumps, dumps_line, run
+from scamo_lab.core import _CHUNK_ROWS
 
 RUN_LINE = json.dumps(
     {
@@ -546,42 +547,46 @@ class CountedStdout(io.StringIO):
 
 
 @pytest.fixture
-def log_8193(tmp_path):
-    """A valid 8193-run log: two whole 4096-row chunks and one row."""
+def three_chunk_log(tmp_path):
+    """A valid log of 2 * _CHUNK_ROWS + 1 runs: two whole chunks and one row."""
     log = tmp_path / "runs.jsonl"
-    assert run(["synth", "--grid-points", "1", "--runs-per-budget", "8193", "--out", str(log)]) == 0
+    runs = str(2 * _CHUNK_ROWS + 1)
+    assert run(["synth", "--grid-points", "1", "--runs-per-budget", runs, "--out", str(log)]) == 0
     return log
 
 
 def test_stdout_takes_a_document_whole_and_a_run_log_a_chunk_at_a_time(
-        invoke, monkeypatch, log_8193):
-    ingest = ["ingest", "--runs", str(log_8193)]
-    for argv, lines in ((FLOPS_ARGV, [9]), (ingest, [4096, 4096, 1])):  # one write a chunk
+        invoke, monkeypatch, three_chunk_log):
+    ingest = ["ingest", "--runs", str(three_chunk_log)]
+    # one write for the document, one for each chunk of the run log
+    for argv, lines in ((FLOPS_ARGV, [9]), (ingest, [_CHUNK_ROWS, _CHUNK_ROWS, 1])):
         monkeypatch.setattr(sys, "stdout", stdout := CountedStdout())
         assert invoke(argv) == (0, "", "")
         assert [chunk.count("\n") for chunk in stdout.writes] == lines
-    assert stdout.getvalue() == log_8193.read_text()
+    assert stdout.getvalue() == three_chunk_log.read_text()
 
 
 @pytest.mark.parametrize("command, room", [("flops", 0), ("ingest", 0), ("ingest", 1)])
-def test_a_failing_stdout_is_one_error_line(invoke, monkeypatch, log_8193, command, room):
-    argv = FLOPS_ARGV if command == "flops" else ["ingest", "--runs", str(log_8193)]
+def test_a_failing_stdout_is_one_error_line(invoke, monkeypatch, three_chunk_log, command, room):
+    argv = FLOPS_ARGV if command == "flops" else ["ingest", "--runs", str(three_chunk_log)]
     monkeypatch.setattr(sys, "stdout", stdout := CountedStdout(room))
     code, _, err = invoke(argv)
     assert (code, err) == (1, "error: [Errno 28] No space left on device\n")
     # stdout holds the chunks it took before it failed, and nothing else
-    assert stdout.getvalue() == "".join(log_8193.read_text().splitlines(True)[:4096 * room])
+    lines = three_chunk_log.read_text().splitlines(True)
+    assert stdout.getvalue() == "".join(lines[:_CHUNK_ROWS * room])
 
 
 @pytest.mark.parametrize("out", [None, "out.jsonl"])
-def test_a_bad_last_line_writes_no_byte(invoke, monkeypatch, log_8193, out):
-    monkeypatch.chdir(log_8193.parent)
-    with log_8193.open("a") as fh:
+def test_a_bad_last_line_writes_no_byte(invoke, monkeypatch, three_chunk_log, out):
+    monkeypatch.chdir(three_chunk_log.parent)
+    with three_chunk_log.open("a") as fh:
         fh.write('{"run_id": "last"}\n')
     code, stdout, err = invoke(["ingest", "--runs", "runs.jsonl", *(["--out", out] if out else [])])
     assert (code, stdout) == (1, "")
-    assert err.startswith("error: ") and "line 8194" in err and len(err.splitlines()) == 1
-    assert [p.name for p in log_8193.parent.iterdir()] == ["runs.jsonl"]
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert f"line {2 * _CHUNK_ROWS + 2}" in err
+    assert [p.name for p in three_chunk_log.parent.iterdir()] == ["runs.jsonl"]
 
 
 def test_flops_out_writes_its_output(invoke, tmp_path):

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scamo_lab import codebook_size, fsq_decode_index, fsq_encode_index, fsq_quantize
 from scamo_lab.flops import _check_int_array, _check_real_array
@@ -64,7 +64,7 @@ def _layout(a: np.ndarray, how: str):
         return a.T.copy().T
     if how == "strided":
         wide = np.zeros(tuple(2 * n for n in a.shape), dtype=a.dtype)
-        view = wide[tuple(slice(None, None, 2) for _ in a.shape)]
+        view = wide[(..., *(slice(None, None, 2) for _ in a.shape))]  # ...: a 0-d a stays an array
         view[...] = a
         return view
     if how == "narrow" and (a.dtype.kind == "f" or np.abs(a).max() <= np.iinfo(np.int32).max):
@@ -119,6 +119,7 @@ def fsq_cases(draw):
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(fsq_cases())
+@example((WIDE_LEVELS[0], np.zeros(2), "strided", None, np.random.default_rng(0)))  # a 0-d index
 def test_kernels_match_the_whole_array_references(case):
     levels, z, layout, out_of_range, rng = case
     q = _same(fsq_quantize, reference_quantize, _layout(z, layout), levels)
