@@ -7,7 +7,7 @@ partial only when stdout itself fails. Results go to stdout as JSON (or JSONL
 for record streams) unless --out is given; diagnostics go to stderr.
 Output is deterministic: fixed key order, floats at 17 significant digits.
 
-Exit codes: 0 success, 1 invalid input or data, 2 usage errors.
+Exit codes: 0 success, 1 invalid input or data (quietly for a closed stdout pipe), 2 usage errors.
 """
 
 from __future__ import annotations
@@ -391,6 +391,9 @@ def run(argv: list[str] | None = None) -> int:
         if not args.out:
             sys.stdout.writelines(chunks)
             sys.stdout.flush()  # a full disk or closed pipe fails here, not at exit
+    except BrokenPipeError:  # the reader stopped early, as `| head` does: not an error to word
+        sys.stdout = open(os.devnull, "w")  # the exit flush goes here, not to the closed pipe
+        return 1
     except (ValueError, OSError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         print(f"error: {exc}", file=sys.stderr)
         return 1

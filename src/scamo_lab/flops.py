@@ -24,6 +24,7 @@ __all__ = [
 
 
 _INT64_MAX = 2**63 - 1  # bounds FSQ codebooks and run shapes; run counts stay below ~1e96
+_BLOCK_ROWS = 8192  # rows per kernel block: a (8192, 6) float64 block buffer is 384 KB
 
 
 def _check_int(name: str, value: object, minimum: int | None = 1, maximum=None) -> None:
@@ -121,9 +122,10 @@ def _check_int_array(name: str, value, shape, minimum: int, maximum=None) -> np.
     if not wide:
         array = array.astype(np.int64, copy=False)
     rows = array.reshape(-1, *np.shape(maximum))  # a view: rows of one value or of channels
-    blocks = (rows[i:i + 8192] for i in range(0, len(rows), 8192))  # no full-size temporary
-    # the maximum as one whole block, made once: a block compares in one flat loop, not per row
-    top = None if maximum is None else np.broadcast_to(maximum, rows[:8192].shape).copy()
+    # blocks, so no full-size temporary; the maximum as one whole block, made once: a block
+    # compares in one flat loop, not per row
+    blocks = (rows[i:i + _BLOCK_ROWS] for i in range(0, len(rows), _BLOCK_ROWS))
+    top = None if maximum is None else np.broadcast_to(maximum, rows[:_BLOCK_ROWS].shape).copy()
     if wide or not all(block.min() >= minimum and (top is None or (block <= top[:len(block)]).all())
                        for block in blocks):
         bounds = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .flops import _INT64_MAX, _check_int, _check_int_array, _check_real_array
+from .flops import _BLOCK_ROWS, _INT64_MAX, _check_int, _check_int_array, _check_real_array
 
 __all__ = [
     "FsqLevels",
@@ -32,7 +32,6 @@ __all__ = [
 
 _LATENT_EPS = 1e-6  # latents for endpoint codes stay this far inside (0, 1) before the logit
 _MAX_LEVEL = 2**52  # quantize rounds in float64: floor(x + 0.5) is exact only for x < 2**52
-_BLOCK_ROWS = 8192  # rows per kernel block: a (8192, 6) float64 block buffer is 384 KB
 
 
 @dataclass(frozen=True)

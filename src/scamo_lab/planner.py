@@ -138,25 +138,21 @@ def plan_budget(
     )
 
 
-def consistency_report(
-    plan: BudgetPlan,
-    reference: ReferenceSelection,
-    tolerance_log10: float = CONSISTENCY_TOLERANCE_LOG10,
-) -> dict:
+def consistency_report(plan: BudgetPlan, reference: ReferenceSelection) -> dict:
     """Per-quantity log10 gaps between a plan and a reference selection.
 
-    vocab_size stands in for n_v; the d_model factor cancels in the gap.
+    vocab_size stands in for n_v; the d_model factor cancels in the gap. A gap
+    is within tolerance when it is at most CONSISTENCY_TOLERANCE_LOG10 either way.
     """
-    _check_real("tolerance_log10", tolerance_log10, "positive")
     gaps = {
         "n_nv": math.log10(plan.n_nv / reference.n_nv),
         "vocab_size": math.log10(plan.vocab_size / reference.vocab_size),
         "d_tokens": math.log10(plan.d_tokens / reference.d_tokens),
     }
-    within = {name: abs(gap) <= tolerance_log10 for name, gap in gaps.items()}
+    within = {name: abs(gap) <= CONSISTENCY_TOLERANCE_LOG10 for name, gap in gaps.items()}
     return {
         "reference": asdict(reference),
-        "tolerance_log10": tolerance_log10,
+        "tolerance_log10": CONSISTENCY_TOLERANCE_LOG10,
         "log10_gaps": gaps,
         "within_tolerance": within,
         "agrees": all(within.values()),

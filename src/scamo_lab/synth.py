@@ -8,15 +8,12 @@ equal seeds give bit-identical output on any platform.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .core import RunRecord, RunTable
-from .flops import (_INT64_MAX, ModelConfig, _check_int, _check_real, _check_real_array,
-                    params_non_embedding)
+from .flops import ModelConfig, _check_int, _check_real, _check_real_array, params_non_embedding
 from .fsq import _LATENT_EPS, FsqLevels, _logit
 from .scaling import ScalingFits
 
@@ -105,39 +102,30 @@ def synth_runs(spec: SynthSpec) -> RunTable:
             u[j] = rng.random() if j else rng.standard_normal()
         loss = laws.loss_vs_c.slope * x + laws.loss_vs_c.intercept + (0.0 + sigma * u[:1])
         loss = np.concatenate([loss, loss + (0.01 + (0.5 - 0.01) * u[1:])])
-        s, rows = 0.0 + sigma * z, counts[budget]
-        try:  # a scalar pow a value, as below: numpy's array pow may differ from it by an ulp
-            p = np.fromiter(map(pow, repeat(10.0), s.ravel().tolist()), np.float64, s.size)
-        except OverflowError:  # such a budget fails: every row goes to the per-row rules
-            ok = np.zeros(per_budget, dtype=bool)
-        else:  # the per-row rules on arrays: laws and pows are >= 0 or nan, so the int64 bound
-            # refuses a nan or inf value and n_layers >= 1 a zero n_nv
-            n_v, n_nv, d_tokens = p.reshape(s.shape).T * np.array([[n_v_law], [n_nv_law], [d_law]])
-            shape = np.floor(np.array([n_nv / _PARAM_GRANULE, n_v, d_tokens]) + 0.5)
-            ok = ((shape[0] >= 1) & (abs(_PARAM_GRANULE * shape[0] - n_nv) <= _PARAM_REL_TOL * n_nv)
-                  & (shape.max(axis=0) < 2.0**63) & np.isfinite(loss))
-            rows[:] = np.maximum(shape, 1).T  # a flagged row's values are replaced below
-        for k in np.flatnonzero(~ok):  # the per-row rules in order: the first row broken raises
-            s0, s1, s2 = s[k].tolist()
-            try:
-                p0, p1, p2 = 10.0 ** s0, 10.0 ** s1, 10.0 ** s2
-            except OverflowError:  # numpy's scalar pow gives inf, which the checks below report
-                p0, p1, p2 = (np.float64(10.0) ** v for v in (s0, s1, s2))
-            n_v, n_nv, d_tokens = n_v_law * p0, n_nv_law * p1, d_law * p2
-            _check_real("n_v", n_v, "non-negative")
-            _check_real("d_tokens", d_tokens, "non-negative")
-            _check_real("n_nv_target", n_nv, "positive")
-            n_layers = int(math.floor(n_nv / _PARAM_GRANULE + 0.5))
-            if n_layers < 1:
+        # a scalar pow a value: numpy's array pow may differ from it by an ulp; numpy's scalar pow
+        # calls the same C pow as Python's float pow, but gives inf past float range
+        s = (0.0 + sigma * z).ravel().tolist()
+        p = np.fromiter(map(np.float64(10.0).__pow__, s), np.float64, len(s))
+        # the per-row rules on arrays: laws and pows are >= 0, inf or nan, so the int64 bound
+        # refuses a nan or inf value and n_layers >= 1 a zero n_nv
+        n_v, n_nv, d_tokens = p.reshape(z.shape).T * np.array([[n_v_law], [n_nv_law], [d_law]])
+        shape = np.floor(np.array([n_nv / _PARAM_GRANULE, n_v, d_tokens]) + 0.5)
+        ok = ((shape[0] >= 1) & (abs(_PARAM_GRANULE * shape[0] - n_nv) <= _PARAM_REL_TOL * n_nv)
+              & (shape.max(axis=0) < 2.0**63) & np.isfinite(loss))
+        if not ok.all():  # the first flagged row breaks a rule: word the first, in the rules' order
+            k = int(np.argmin(ok))
+            _check_real("n_v", float(n_v[k]), "non-negative")
+            _check_real("d_tokens", float(d_tokens[k]), "non-negative")
+            target = _check_real("n_nv_target", float(n_nv[k]), "positive")
+            if shape[0, k] < 1:
                 raise ValueError(
-                    f"target {n_nv} is below the smallest valid config ({_PARAM_GRANULE} params)")
-            if abs(_PARAM_GRANULE * n_layers - n_nv) > _PARAM_REL_TOL * n_nv:
-                raise ValueError(f"no config within {_PARAM_REL_TOL:.0%} of target {n_nv}")
-            row = (n_layers, max(1, int(math.floor(n_v + 0.5))),
-                   max(1, int(math.floor(d_tokens + 0.5))))
-            if max(row) > _INT64_MAX or not math.isfinite(loss[k]):  # raises the rule broken
-                RunRecord(run_id[budget.start + k], row[0], 1, 1, 1024, *row[1:], c, float(loss[k]))
-            rows[k] = row
+                    f"target {target} is below the smallest valid config ({_PARAM_GRANULE} params)")
+            if abs(_PARAM_GRANULE * shape[0, k] - target) > _PARAM_REL_TOL * target:
+                raise ValueError(f"no config within {_PARAM_REL_TOL:.0%} of target {target}")
+            n_layers, vocab, tokens = (max(1, int(v)) for v in shape[:, k].tolist())
+            RunRecord(run_id[budget.start + k], n_layers, 1, 1, 1024, vocab, tokens, c,
+                      float(loss[k]))  # words the int64 bound and the loss
+        counts[budget] = np.maximum(shape, 1).T
         flops[budget], losses[budget] = c, loss
     # n_heads = d_model = 1 and n_ctx = 1024 for every run: read-only views of one value each
     one, n_ctx = (np.broadcast_to(np.int64(value), len(run_id)) for value in (1, 1024))

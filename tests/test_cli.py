@@ -533,15 +533,16 @@ FLOPS_ARGV = ["flops", "--layers", "8", "--heads", "8", "--d-model", "512", "--c
 
 
 class CountedStdout(io.StringIO):
-    """A stdout that keeps each write and, after `room` of them, fails as a full disk does."""
+    """A stdout that keeps each write and, after `room` of them, fails as a full disk does, or
+    with another errno: EPIPE fails as a pipe whose reader has closed."""
 
-    def __init__(self, room=math.inf):
+    def __init__(self, room=math.inf, error=errno.ENOSPC):
         super().__init__()
-        self.room, self.writes = room, []
+        self.room, self.error, self.writes = room, error, []
 
     def write(self, text):
         if len(self.writes) >= self.room:
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            raise OSError(self.error, os.strerror(self.error))
         self.writes.append(text)
         return super().write(text)
 
@@ -575,6 +576,23 @@ def test_a_failing_stdout_is_one_error_line(invoke, monkeypatch, three_chunk_log
     # stdout holds the chunks it took before it failed, and nothing else
     lines = three_chunk_log.read_text().splitlines(True)
     assert stdout.getvalue() == "".join(lines[:_CHUNK_ROWS * room])
+
+
+def test_a_closed_stdout_pipe_ends_quietly(invoke, monkeypatch, three_chunk_log):
+    monkeypatch.setattr(sys, "stdout", CountedStdout(1, errno.EPIPE))
+    assert invoke(["ingest", "--runs", str(three_chunk_log)]) == (1, "", "")
+    assert sys.stdout.name == os.devnull  # what is left to flush at exit goes nowhere
+    sys.stdout.close()
+
+
+def test_a_reader_that_stops_early_gets_no_error_line():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "scamo_lab", "synth", "--grid-points", "100",
+         "--runs-per-budget", "500"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    with proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        assert (proc.wait(timeout=120), proc.stderr.read()) == (1, b"")
 
 
 @pytest.mark.parametrize("out", [None, "out.jsonl"])

@@ -347,6 +347,11 @@ SYNTH_SPECS = {
     # vocab_size 2**63 - 36864, - 15360 and - 19456 on rows 0-2, then exactly 2**63 on row 3
     "vocab at 2**63": SynthSpec(_laws(nv_vs_c=math.log10(2.0**63) - 0.75 * 14),
                                 CGridSpec(14.0, 14.0, 1), 12, 2e-15, 96),
+    # row 0 passes every rule, row 1 breaks the int64 bound and row 2's pow overflows: the
+    # error is row 1's, though the budget holds a value past float range
+    "pass, int64, overflow": SynthSpec(
+        ScalingFits(PowerLawFit(-300.0, 0.0), PowerLawFit(15.0, 0.0), PowerLawFit(-300.0, 0.0),
+                    PAPER.nv_vs_nnv, LogLawFit(0.0, 1.0)), CGridSpec(15.0, 15.0, 1), 6, 150.0, 25),
 }
 
 
@@ -373,6 +378,10 @@ def test_synth_runs_words_the_first_failing_row_of_a_budget():
         "vocab_size must be an integer in [1, 9223372036854775807], got 9772042995520368640")
     assert outcome(synth_runs, SYNTH_SPECS["vocab at 2**63"])[1][1] == (
         "vocab_size must be an integer in [1, 9223372036854775807], got 9223372036854775808")
+    assert outcome(synth_runs, SYNTH_SPECS["pass, int64, overflow"])[1][1] == (
+        "n_layers must be an integer in [1, 9223372036854775807], got 10620410472493657463285199"
+        "68780880971855643158636732617330399534013350844057843745047796801658227115653709610548"
+        "083977723335439376582269436626594022031360")
 
 
 # ---------------------------------------------------------------------------
