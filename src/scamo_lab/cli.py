@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 invalid input or data (quietly for a closed stdout pipe
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import dataclasses
 import errno
@@ -99,19 +100,19 @@ def dumps_line(obj) -> str:
 # shared input helpers
 
 
-def _read_text(path: str | None) -> str:
+def _read(path: str | None, parse):
+    """parse of the binary stream of the file at path, or of stdin for no path or "-"."""
     if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _read_runs(path: str | None) -> RunTable:
-    """load_runs of the run log at path, or of stdin, read as bytes: both split at "\n" only."""
-    if path is None or path == "-":
-        return load_runs(sys.stdin.buffer)
+        return parse(sys.stdin.buffer)
     with open(path, "rb") as fh:
-        return load_runs(fh)
+        return parse(fh)
+
+
+def _text(stream) -> str:
+    """The stream's bytes as strict UTF-8, without a leading byte order mark."""
+    if (data := stream.read()).startswith(codecs.BOM_UTF8):
+        raise ValueError("input starts with a UTF-8 byte order mark")
+    return data.decode("utf-8")
 
 
 def _parse_levels(args) -> FsqLevels:
@@ -189,7 +190,7 @@ _FSQ_ACTIONS = {"quantize": fsq_quantize, "dequantize": fsq_dequantize,
 def _cmd_fsq(args) -> Iterable[str]:
     lv = _parse_levels(args)
     try:
-        data = json.loads(_read_text(args.infile))
+        data = json.loads(_read(args.infile, _text))
     except json.JSONDecodeError as exc:
         raise ValueError(f"input is not valid JSON: {exc}")
     return _document(_FSQ_ACTIONS[args.action](data, lv))
@@ -210,8 +211,11 @@ def _cmd_vq(args) -> Iterable[str]:
 
 
 def _cmd_normloss(args) -> Iterable[str]:
-    rows = list(csv.reader(io.StringIO(_read_text(args.infile))))
-    rows = [row for row in rows if row]
+    text = io.StringIO(_read(args.infile, _text), newline="")  # csv ends rows at \n, \r\n or \r
+    try:
+        rows = [row for row in csv.reader(text) if row]
+    except csv.Error as exc:
+        raise ValueError(f"input is not valid CSV: {exc}")
     if rows and any(_not_float(cell) for cell in rows[0]):
         rows = rows[1:]  # header row
     records = []
@@ -243,11 +247,11 @@ def _not_float(cell: str) -> bool:
 
 
 def _cmd_ingest(args) -> Iterable[str]:
-    return _run_lines(_read_runs(args.runs))
+    return _run_lines(_read(args.runs, load_runs))
 
 
 def _frontier_rows(args) -> list:
-    runs = _read_runs(args.runs)
+    runs = _read(args.runs, load_runs)
     return pareto_frontier(runs, bin_width_log10=args.bin_width)
 
 

@@ -55,32 +55,30 @@ class RunRecord:
     tokens_trained: int
     flops: float | None
     normalized_loss: float
-    _config: ModelConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.run_id, str) or not self.run_id:
             raise ValueError("run_id must be a non-empty string")
         for name in RUN_FIELDS[1:6]:  # the shape fields, named as in the log
             _check_int(name, getattr(self, name), 1, _INT64_MAX)
-        object.__setattr__(self, "_config", ModelConfig(
-            self.n_layers, self.n_heads, self.d_model, self.n_ctx, self.vocab_size))
+        config = self.config()  # the divisibility rule
         _check_int("tokens_trained", self.tokens_trained, 1, _INT64_MAX)
         flops = self.flops
         if flops is None:
-            flops = flops_approx(self.n_nv(), self.n_v, self.tokens_trained)
+            flops = flops_approx(params_non_embedding(config), self.n_v, self.tokens_trained)
         object.__setattr__(self, "flops", _check_real("flops", flops, "positive"))
         object.__setattr__(self, "normalized_loss",
                            _check_real("normalized_loss", self.normalized_loss))
 
     def config(self) -> ModelConfig:
-        return self._config
+        return ModelConfig(self.n_layers, self.n_heads, self.d_model, self.n_ctx, self.vocab_size)
 
     @property
     def n_v(self) -> int:
         return self.vocab_size * self.d_model
 
     def n_nv(self) -> int:
-        return params_non_embedding(self._config)
+        return params_non_embedding(self.config())
 
     def to_dict(self) -> dict:
         """Field dict in schema order, for JSONL emission."""
@@ -88,7 +86,7 @@ class RunRecord:
 
 
 # JSONL schema, in serialization order. flops is optional on input.
-RUN_FIELDS = tuple(f.name for f in dataclasses.fields(RunRecord) if f.init)
+RUN_FIELDS = tuple(f.name for f in dataclasses.fields(RunRecord))
 _REAL_FIELDS = ("flops", "normalized_loss")  # float64 columns; the other six are int64
 
 
@@ -146,8 +144,6 @@ class RunTable(Sequence):
                 np.array_equal(getattr(self, name), getattr(other, name))
                 for name in RUN_FIELDS[1:])
         return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"RunTable({len(self)} runs)"

@@ -27,12 +27,11 @@ _INT64_MAX = 2**63 - 1  # bounds FSQ codebooks and run shapes; run counts stay b
 _BLOCK_ROWS = 8192  # rows per kernel block: a (8192, 6) float64 block buffer is 384 KB
 
 
-def _check_int(name: str, value: object, minimum: int | None = 1, maximum=None) -> None:
+def _check_int(name: str, value: object, minimum: int = 1, maximum=None) -> None:
     """The package's one integer rule: an int, never a bool, in [minimum, maximum]."""
-    is_int = isinstance(value, int) and not isinstance(value, bool)
-    if (not is_int or (minimum is not None and value < minimum)
+    if (not isinstance(value, int) or isinstance(value, bool) or value < minimum
             or (maximum is not None and value > maximum)):
-        kind = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+        kind = {0: "a non-negative integer", 1: "a positive integer"}
         kind = kind.get(minimum, f"an integer >= {minimum}")
         kind = kind if maximum is None else f"an integer in [{minimum}, {maximum}]"
         raise ValueError(f"{name} must be {kind}, got {value!r}")

@@ -168,6 +168,6 @@ class VocabForModel(NamedTuple):
 def vocab_for_model(n_nv: float, law: PowerLawFit, d_model: int) -> VocabForModel:
     """Vocabulary recommended for a model with n_nv non-embedding params."""
     _check_int("d_model", d_model)
-    n_v = law.evaluate(n_nv)
+    n_v = law.evaluate(_check_real("n_nv", n_nv, "positive"))
     vocab = _vocab_size(n_v, d_model)
     return VocabForModel(n_v=n_v, vocab_size=vocab, vocab_pow2=nearest_power_of_two(vocab))

@@ -65,7 +65,7 @@ class SynthSpec:
     def __post_init__(self) -> None:
         _check_int("runs_per_budget", self.runs_per_budget)
         _check_real("noise_sigma_log10", self.noise_sigma_log10, "non-negative")
-        _check_int("seed", self.seed, minimum=None)
+        _check_int("seed", self.seed, minimum=0)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowed draws reach the checks as inf or nan
@@ -91,7 +91,8 @@ def synth_runs(spec: SynthSpec) -> RunTable:
     flops, losses = np.empty(len(run_id)), np.empty(len(run_id))
     z, u = np.empty((per_budget, 3)), np.empty(per_budget)
     for i, x in enumerate(grid):
-        rng, c = np.random.default_rng(spec.seed + i), 10.0**x
+        rng = np.random.default_rng(spec.seed + i)
+        c = _check_real(f"budget 10**{float(x)}", 10.0**x, "positive")
         budget = slice(i * per_budget, (i + 1) * per_budget)
         n_v_law, n_nv_law, d_law = (float(law.evaluate(c))  # the same for a whole budget
                                     for law in (laws.nv_vs_c, laws.nnv_vs_c, laws.d_vs_c))
@@ -175,7 +176,7 @@ def synth_latents(
     """
     _check_int("n", n)
     _check_int("dim", dim)
-    _check_int("seed", seed, minimum=None)
+    _check_int("seed", seed, minimum=0)
     rng = np.random.default_rng(seed)
     if kind == "uniform_code":
         if levels is None:

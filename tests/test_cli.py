@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -37,11 +38,10 @@ RUN_LINE = json.dumps(
 @pytest.fixture
 def invoke(capsys, monkeypatch):
     def _invoke(argv, stdin=None):
-        """stdin, text or bytes, is fed as the real one is: text over a binary buffer."""
+        """stdin, text or bytes, is fed as a binary buffer alone: a text-mode read fails."""
         if stdin is not None:
             data = stdin if isinstance(stdin, bytes) else stdin.encode("utf-8")
-            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
-                                                                newline="\n"))
+            monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=io.BytesIO(data)))
         code = run(list(argv))
         captured = capsys.readouterr()
         return code, captured.out, captured.err
@@ -395,6 +395,39 @@ def test_run_log_reads_alike_from_a_file_and_stdin(invoke, tmp_path, command, lo
     assert from_file == invoke([command], stdin=log)
     code, out, err = from_file
     assert (code, out) == (1, "") and err.startswith(f"error: invalid run log: {error}")
+
+
+OVER_LIMIT = b"-0.5," + b"1" * 131073 + b"\n"  # past csv's field size limit
+NOT_UTF8 = "error: 'utf-8' codec can't decode byte 0xff in position {}: invalid start byte\n"
+BOM = "error: input starts with a UTF-8 byte order mark\n"
+FSQ = ["fsq", "quantize", "--levels", "8,5"]
+
+
+@pytest.mark.parametrize("argv, data, error", [
+    (["normloss"], b"-0.5,-1.0\r\n-0.25,-2.0\r\n", None),
+    (["normloss"], b"-0.5,-1.0\r-0.25,-2.0\r", None),
+    (["normloss"], b"\xef\xbb\xbf-0.5,-1.0\n-0.25,-2.0\n", BOM),
+    (["normloss"], b"-0.5,-1.0\n\xff\n", NOT_UTF8.format(10)),
+    (["normloss"], OVER_LIMIT,
+     "error: input is not valid CSV: field larger than field limit (131072)\n"),
+    (FSQ, b"[0.5,\r\n-1.2]\r\n", None),
+    (FSQ, b"[0.5,\r-1.2]\r", None),
+    (FSQ, b"\xef\xbb\xbf[0.5, -1.2]", BOM),
+    (FSQ, b"[0.5, \xff]", NOT_UTF8.format(6)),
+], ids=["normloss CRLF", "normloss lone CR", "normloss BOM", "normloss not UTF-8",
+        "normloss field over limit", "fsq CRLF", "fsq lone CR", "fsq BOM", "fsq not UTF-8"])
+def test_text_input_reads_alike_from_a_file_and_stdin(invoke, tmp_path, argv, data, error):
+    """fsq and normloss take their bytes as a run log is taken: alike from --in and stdin. Rows
+    that end in "\r\n" or "\r" read as rows that end in "\n"."""
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    from_file = invoke([*argv, "--in", str(path)])
+    assert from_file == invoke(argv, stdin=data)
+    if error is None:
+        assert from_file == invoke(argv, stdin=data.replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
+        assert from_file[0] == 0
+    else:
+        assert from_file == (1, "", error)
 
 
 def test_frontier_json_and_csv(invoke, tmp_path):
@@ -758,6 +791,8 @@ def test_synth_seed_resolution(invoke, monkeypatch):
     assert flag_out == default_out  # 42 is the default seed
     _, other_out, _ = invoke(argv + ["--seed", "43"])
     assert other_out != default_out
+    assert invoke(argv + ["--seed", "-5"]) == (
+        1, "", "error: seed must be a non-negative integer, got -5\n")
     monkeypatch.setenv("SCAMO_LAB_SEED", "43")  # no environment variable moves the default
     assert invoke(argv) == (0, default_out, "")
 
@@ -783,10 +818,13 @@ def test_synth_noise_overflow_is_one_error_line(invoke):
 
 
 def test_synth_budget_overflow_is_one_error_line(invoke):
-    code, out, err = invoke(["synth", "--grid-min", "400", "--grid-max", "401",
-                             "--grid-points", "2"])
-    assert (code, out) == (1, "")
-    assert err == "error: x must be positive and finite, got inf\n"
+    """A budget past float range is named by its grid value."""
+    for low, high, value in [("400", "401", "inf"), ("309", "310", "inf"), ("-400", "-399", "0.0")]:
+        code, out, err = invoke(["synth", f"--grid-min={low}", f"--grid-max={high}",
+                                 "--grid-points", "2"])
+        assert (code, out) == (1, "")
+        assert err == f"error: budget 10**{low}.0 must be positive and finite, got {value}\n"
+
 
 
 def test_outputs_end_with_newline(invoke):

@@ -10,6 +10,7 @@ import io
 import json
 import sys
 import tempfile
+import types
 import warnings
 from pathlib import Path
 
@@ -73,12 +74,14 @@ def fits_doc(draw) -> str:
 
 @st.composite
 def csv_text(draw, cell, n_cols) -> str:
-    """Up to 20 rows of n_cols cells; now and then a row is cut short or a cell is odd."""
+    """Up to 20 rows of n_cols cells, each ended by "\n", "\r\n" or "\r"; now and then a row is
+    cut short or a cell is odd."""
     rows = []
     for _ in range(draw(st.integers(0, 20))):
         row = [mostly(draw, cell, REALS) for _ in range(n_cols)]
         rows.append(",".join(mostly(draw, st.just(row), st.just(row[1:]))))
-    return "\n".join(rows) + "\n"
+        rows.append(draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    return "".join(rows)
 
 
 @st.composite
@@ -178,11 +181,11 @@ def test_cli_fuzz(tmp_path, command, data):
     with tempfile.TemporaryDirectory(dir=tmp_path) as work:
         paths = {name: str(Path(work) / f"{name}.txt") for name in [*files, "out", "csv_out"]}
         for name, text in files.items():
-            Path(paths[name]).write_text(text, encoding="utf-8")
+            Path(paths[name]).write_bytes(text.encode())
         argv = [arg.format(**paths) if arg.startswith("{") else arg for arg in argv]
         out, err = io.StringIO(), io.StringIO()
-        saved_stdin, sys.stdin = sys.stdin, io.TextIOWrapper(io.BytesIO(stdin.encode()),
-                                                              encoding="utf-8", newline="\n")
+        # a binary buffer alone, so that a text-mode read of stdin fails here
+        saved_stdin, sys.stdin = sys.stdin, types.SimpleNamespace(buffer=io.BytesIO(stdin.encode()))
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                     warnings.catch_warnings(record=True) as caught:

@@ -156,7 +156,7 @@ def test_vocab_for_model_3b():
 def test_vocab_for_model_validation():
     with pytest.raises(ValueError):
         vocab_for_model(3e9, PRESET.nv_vs_nnv, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n_nv must be positive and finite, got -3000000000.0$"):
         vocab_for_model(-3e9, PRESET.nv_vs_nnv, 3200)
 
 

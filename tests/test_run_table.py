@@ -90,6 +90,7 @@ def reference_synth_runs(spec):
     for i, x in enumerate(spec.c_grid_log10.values_log10()):
         rng = np.random.default_rng(spec.seed + i)
         c = 10.0**x
+        _check_real(f"budget 10**{float(x)}", c, "positive")
         loss_opt = 0.0
         for j in range(spec.runs_per_budget):
             shift = rng.normal(0.0, spec.noise_sigma_log10, size=3)

@@ -217,9 +217,9 @@ def test_synth_latents_deterministic():
     assert np.array_equal(c, d)
 
 
-@pytest.mark.parametrize("seed", [True, None, 1.0])
+@pytest.mark.parametrize("seed", [True, None, 1.0, -1])
 def test_synth_latents_seed_must_be_an_integer(seed):
-    with pytest.raises(ValueError, match="^seed must be an integer, got "):
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got "):
         synth_latents("gaussian_mixture", 10, 2, seed=seed)
 
 

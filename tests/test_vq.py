@@ -84,6 +84,8 @@ def test_train_params_validation():
         VqTrainParams(reset_threshold=-0.1)
     with pytest.raises(ValueError):
         VqTrainParams(rng_seed=1.5)
+    with pytest.raises(ValueError, match="^rng_seed must be a non-negative integer, got -1$"):
+        VqTrainParams(rng_seed=-1)
 
 
 def test_ema_update_hand_computed():
