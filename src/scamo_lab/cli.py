@@ -211,21 +211,22 @@ def _cmd_vq(args) -> Iterable[str]:
 
 
 def _cmd_normloss(args) -> Iterable[str]:
-    text = io.StringIO(_read(args.infile, _text), newline="")  # csv ends rows at \n, \r\n or \r
+    # csv ends rows at \n, \r\n or \r; errors name the input line a row ends on
+    reader = csv.reader(io.StringIO(_read(args.infile, _text), newline=""))
     try:
-        rows = [row for row in csv.reader(text) if row]
+        rows = [(reader.line_num, row) for row in reader if row]
     except csv.Error as exc:
         raise ValueError(f"input is not valid CSV: {exc}")
-    if rows and any(_not_float(cell) for cell in rows[0]):
+    if rows and any(_not_float(cell) for cell in rows[0][1]):
         rows = rows[1:]  # header row
     records = []
-    for lineno, row in enumerate(rows, start=1):
+    for lineno, row in rows:
         if len(row) != 2:
-            raise ValueError(f"row {lineno}: expected 2 columns, got {len(row)}")
+            raise ValueError(f"line {lineno}: expected 2 columns, got {len(row)}")
         try:
             records.append(TokenProbRecord(float(row[0]), float(row[1])))
         except ValueError as exc:
-            raise ValueError(f"row {lineno}: {exc}")
+            raise ValueError(f"line {lineno}: {exc}")
     if not records:
         raise ValueError("no (model_logp, baseline_logp) rows in input")
     ce = ce_loss(records)
@@ -407,20 +408,32 @@ def run(argv: list[str] | None = None) -> int:
 def _write_files(files: dict[str, Iterable[str]]) -> None:
     """Write every file's chunks, in order, to a temp file beside it, then move each into place.
 
-    No file is created unless all of them were written; errors name the
-    target path, not the temp file.
+    A symlink's target is replaced, so the link stays. An existing target that
+    is not a regular file (a device or a FIFO) is written straight into, after
+    every temp file. No regular file is created unless all of them were
+    written; errors name the given path, not the temp file or the target.
     """
     moves: list[tuple[str, str]] = []
+    streams: list[tuple[str, Iterable[str]]] = []
     try:
         for path, chunks in files.items():
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-            tmp = f"{path}.{os.getpid()}.tmp"
+            target = os.path.realpath(path)
+            if os.path.islink(target):  # realpath stops at a symlink loop
+                raise OSError(errno.ELOOP, os.strerror(errno.ELOOP))
+            if os.path.exists(target) and not os.path.isfile(target):
+                streams.append((path, chunks))
+                continue
+            tmp = f"{target}.{os.getpid()}.tmp"
             with open(tmp, "x", encoding="utf-8") as fh:
                 moves.append((tmp, path))
                 fh.writelines(chunks)
+        for path, chunks in streams:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
         for tmp, path in moves:
-            os.replace(tmp, path)
+            os.replace(tmp, os.path.realpath(path))
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
     finally:

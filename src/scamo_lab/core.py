@@ -303,7 +303,7 @@ def codebook_metrics(hist: CodeUsageHistogram) -> CodebookMetrics:
         raise ValueError("no observations: histogram total is zero")
     counts = hist.counts
     p = counts[counts > 0] / hist.total
-    entropy = float(-(p * np.log(p)).sum())
+    entropy = float(0.0 - (p * np.log(p)).sum())  # 0.0, not -0.0, when one code takes every row
     return CodebookMetrics(
         utilization=float(np.count_nonzero(counts) / counts.size),
         shannon_entropy_nats=entropy,

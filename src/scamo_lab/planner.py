@@ -71,12 +71,6 @@ def nearest_power_of_two(n: int) -> int:
     return 1 << (k + 1) if n * n >= 1 << (2 * k + 1) else 1 << k
 
 
-def _vocab_size(n_v: float, d_model: int) -> int:
-    """round(n_v / d_model), exact halves up, and at least 1."""
-    _check_real("n_v", n_v, "non-negative")
-    return max(1, int(math.floor(n_v / d_model + 0.5)))
-
-
 @dataclass(frozen=True)
 class BudgetPlan:
     """Law-optimal allocation for one compute budget."""
@@ -111,9 +105,7 @@ def plan_budget(
     """
     _check_real("c_flops", c_flops, "positive")
     _check_int("d_model", d_model)
-    n_v = fits.nv_vs_c.evaluate(c_flops)
-    n_nv = fits.nnv_vs_c.evaluate(c_flops)
-    d_tokens = fits.d_vs_c.evaluate(c_flops)
+    n_v, n_nv, d_tokens = fits.allocation(c_flops)
     predicted = fits.loss_vs_c.evaluate(c_flops)
     _check_real("predicted_loss", predicted)
 
@@ -125,13 +117,13 @@ def plan_budget(
     if rescale_d:
         d_tokens /= 10.0**residual
         residual = log10_ratio()
-    vocab = _vocab_size(n_v, d_model)
+    vocab = _vocab(n_v, d_model)
     return BudgetPlan(
         flops_budget=float(c_flops),
         n_nv=n_nv,
         n_v=n_v,
-        vocab_size=vocab,
-        vocab_pow2=nearest_power_of_two(vocab),
+        vocab_size=vocab.vocab_size,
+        vocab_pow2=vocab.vocab_pow2,
         d_tokens=d_tokens,
         predicted_loss=predicted,
         constraint_residual_log10=residual,
@@ -168,6 +160,10 @@ class VocabForModel(NamedTuple):
 def vocab_for_model(n_nv: float, law: PowerLawFit, d_model: int) -> VocabForModel:
     """Vocabulary recommended for a model with n_nv non-embedding params."""
     _check_int("d_model", d_model)
-    n_v = law.evaluate(_check_real("n_nv", n_nv, "positive"))
-    vocab = _vocab_size(n_v, d_model)
+    return _vocab(law.evaluate(_check_real("n_nv", n_nv, "positive")), d_model)
+
+
+def _vocab(n_v: float, d_model: int) -> VocabForModel:
+    """vocab_size = round(n_v / d_model), exact halves up and at least 1, and its power of two."""
+    vocab = max(1, int(math.floor(_check_real("n_v", n_v, "non-negative") / d_model + 0.5)))
     return VocabForModel(n_v=n_v, vocab_size=vocab, vocab_pow2=nearest_power_of_two(vocab))

@@ -81,6 +81,10 @@ class ScalingFits:
     nv_vs_nnv: PowerLawFit
     loss_vs_c: LogLawFit
 
+    def allocation(self, c: float) -> tuple[float, float, float]:
+        """(n_v, n_nv, d_tokens): the three *_vs_c laws at compute c, evaluated in that order."""
+        return self.nv_vs_c.evaluate(c), self.nnv_vs_c.evaluate(c), self.d_vs_c.evaluate(c)
+
     def to_json_dict(self) -> dict:
         return asdict(self)
 

@@ -94,8 +94,7 @@ def synth_runs(spec: SynthSpec) -> RunTable:
         rng = np.random.default_rng(spec.seed + i)
         c = _check_real(f"budget 10**{float(x)}", 10.0**x, "positive")
         budget = slice(i * per_budget, (i + 1) * per_budget)
-        n_v_law, n_nv_law, d_law = (float(law.evaluate(c))  # the same for a whole budget
-                                    for law in (laws.nv_vs_c, laws.nnv_vs_c, laws.d_vs_c))
+        n_v_law, n_nv_law, d_law = map(float, laws.allocation(c))  # the same for a whole budget
         # the draws that normal(0, sigma, 3), then normal(0, sigma) on row 0 and uniform(0.01,
         # 0.5) on every other row make, in their order, scaled below by numpy's own formulas
         for j in range(per_budget):

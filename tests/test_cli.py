@@ -6,8 +6,10 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 import types
 import warnings
 
@@ -315,6 +317,14 @@ def test_vq_lattice_ties_go_to_the_lowest_index(invoke, tmp_path):
     assert json.loads(out)["counts"] == np.bincount(lowest, minlength=24).tolist()
 
 
+def test_vq_one_code_in_use_prints_zero_entropy(invoke, tmp_path):
+    latents, codebook = tmp_path / "l.csv", tmp_path / "cb.csv"
+    latents.write_text("0.1,0.2\n")
+    codebook.write_text("0,0\n1,1\n")
+    code, out, _ = invoke(["vq", "--latents", str(latents), "--codebook", str(codebook)])
+    assert code == 0 and '"shannon_entropy_nats": 0,' in out
+
+
 def test_vq_dimension_mismatch(invoke, tmp_path):
     latents = tmp_path / "latents.csv"
     latents.write_text("0.0,0.0,0.0\n")
@@ -363,7 +373,20 @@ def test_normloss_errors(invoke):
     code, _, err = invoke(["normloss"], stdin="-1.0,-1.0,-1.0\n")
     assert code == 1 and "expected 2 columns" in err
     code, _, err = invoke(["normloss"], stdin="0.5,0.0\n")
-    assert code == 1 and "row 1" in err
+    assert code == 1 and "line 1" in err
+
+
+@pytest.mark.parametrize("text, line", [
+    ("model,base\n-1,-1\n\n0.5,0\n", 4),
+    ("model,base\r\n-1,-1\r\n\r\n-1,-1,-1\r\n", 4),
+    ("-1,-1\r\r0.5,0\r", 3),
+    ('-1,-1\n"-1\n",-1\n0.5,0\n', 4),
+], ids=["header and blank line", "CRLF", "lone CR", "quoted newline"])
+def test_normloss_errors_name_the_input_line(invoke, text, line):
+    """As a run log's errors do: the header and blank lines count, and a row that spans lines
+    counts each of them."""
+    code, out, err = invoke(["normloss"], stdin=text)
+    assert (code, out) == (1, "") and err.startswith(f"error: line {line}: ")
 
 
 def test_ingest_fills_flops(invoke):
@@ -645,6 +668,39 @@ def test_flops_out_writes_its_output(invoke, tmp_path):
     code, out, _ = invoke([*FLOPS_ARGV, "--out", str(tmp_path / "f.json")])
     assert code == 0 and out == ""
     assert (tmp_path / "f.json").read_text() == stdout
+
+
+@pytest.mark.parametrize("old", ["old bytes\n", None], ids=["target exists", "dangling link"])
+def test_out_through_a_symlink_replaces_its_target_and_keeps_the_link(invoke, tmp_path, old):
+    _, stdout, _ = invoke(PLAN_ARGV)
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    if old is not None:
+        target.write_text(old)
+    link.symlink_to(target)
+    assert invoke([*PLAN_ARGV, "--out", str(link)]) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == stdout
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+
+def test_out_through_a_symlink_loop_is_one_error_line(invoke, tmp_path):
+    loop = tmp_path / "loop"
+    loop.symlink_to(loop)
+    code, out, err = invoke([*PLAN_ARGV, "--out", str(loop)])
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno {errno.ELOOP}] {os.strerror(errno.ELOOP)}: '{loop}'\n"
+    assert loop.is_symlink() and [p.name for p in tmp_path.iterdir()] == ["loop"]
+
+
+def test_out_to_a_fifo_writes_into_it(invoke, tmp_path):
+    _, stdout, _ = invoke(PLAN_ARGV)
+    fifo, got = tmp_path / "fifo", []
+    os.mkfifo(fifo)
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert invoke([*PLAN_ARGV, "--out", str(fifo)]) == (0, "", "")
+    reader.join(timeout=30)
+    assert not reader.is_alive() and got == [stdout] and stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 def test_plan_preset_reference(invoke):

@@ -243,6 +243,7 @@ def test_metrics_single_code():
     m = codebook_metrics(CodeUsageHistogram(np.array([0, 9, 0, 0])))
     assert m.utilization == 0.25
     assert m.shannon_entropy_nats == 0.0
+    assert math.copysign(1.0, m.shannon_entropy_nats) == 1.0  # 0.0, not -0.0, which prints "-0"
     assert m.exp_entropy == 1.0
 
 

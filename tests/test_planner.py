@@ -78,6 +78,42 @@ def test_plan_reference_budget():
     assert plan.constraint_residual_log10 == pytest.approx(0.22078270242933343, abs=1e-12)
 
 
+def test_plan_takes_its_allocation_from_the_laws_point():
+    plan = plan_budget(1e18, PRESET, 3200)
+    assert PRESET.allocation(1e18) == (plan.n_v, plan.n_nv, plan.d_tokens)
+    assert PRESET.allocation(1e18) == tuple(
+        law.evaluate(1e18) for law in (PRESET.nv_vs_c, PRESET.nnv_vs_c, PRESET.d_vs_c))
+
+
+def test_preset_laws_disagree_as_the_readme_states():
+    """The facts stated beside the preset in the README, recomputed from its laws."""
+    law = PRESET.nv_vs_nnv
+    # n_v against n_nv along the *_vs_c laws: nv_vs_c composed with the inverse of nnv_vs_c
+    (v1, n1, _), (v2, n2, _) = PRESET.allocation(1e16), PRESET.allocation(1e20)
+    exponent = math.log10(v2 / v1) / math.log10(n2 / n1)
+    log10_coef = math.log10(v1) - exponent * math.log10(n1)
+    assert (round(exponent, 3), round(log10_coef, 3)) == (1.316, -4.606)
+    assert (law.exponent, law.log10_coef) == (1.467, -5.604)
+    # the gap at n_nv = 3e9, at the budget where nnv_vs_c gives 3e9
+    c_3e9 = (3e9 / 10**PRESET.nnv_vs_c.log10_coef) ** (1 / PRESET.nnv_vs_c.exponent)
+    n_v, n_nv, _ = PRESET.allocation(c_3e9)
+    assert n_nv == pytest.approx(3e9, rel=1e-12)
+    assert round(math.log10(law.evaluate(n_nv) / n_v), 3) == 0.435
+    # the gap at the 1e18 plan's n_nv, past the consistency tolerance
+    n_v, n_nv, _ = PRESET.allocation(1e18)
+    assert f"{n_nv:.2e}" == "5.50e+09"
+    gap = math.log10(law.evaluate(n_nv) / n_v)
+    assert round(gap, 3) == 0.475 and gap > CONSISTENCY_TOLERANCE_LOG10 == 0.35
+    # the 1e18 residual: a coefficient offset, since the exponents of n_nv and d sum to 1.00,
+    # plus the n_v share
+    residual = plan_budget(1e18, PRESET, 3200).constraint_residual_log10
+    offset = math.log10(6) + PRESET.nnv_vs_c.log10_coef + PRESET.d_vs_c.log10_coef
+    share = math.log10(1 + n_v / n_nv)
+    assert round(PRESET.nnv_vs_c.exponent + PRESET.d_vs_c.exponent, 2) == 1.00
+    assert (round(residual, 4), round(offset, 4), round(share, 4)) == (0.2208, 0.2082, 0.0126)
+    assert residual == pytest.approx(offset + share, abs=1e-12)
+
+
 def test_plan_residual_is_budget_invariant_up_to_drift():
     # the three laws drift from the compute identity by a slowly moving
     # residual; adjacent decades agree to a few hundredths
