@@ -216,7 +216,7 @@ def _cmd_normloss(args) -> Iterable[str]:
     try:
         rows = [(reader.line_num, row) for row in reader if row]
     except csv.Error as exc:
-        raise ValueError(f"input is not valid CSV: {exc}")
+        raise ValueError(f"line {reader.line_num}: input is not valid CSV: {exc}")
     if rows and any(_not_float(cell) for cell in rows[0][1]):
         rows = rows[1:]  # header row
     records = []

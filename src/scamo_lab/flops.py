@@ -94,11 +94,15 @@ def _check_real_array(name: str, value, shape, kind: str = "finite") -> np.ndarr
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be real numbers") from None
     _shaped(name, array, shape)
-    ok = np.isfinite(array).all()
-    if ok and kind != "finite":
-        ok = (array > 0).all() if kind == "positive" else (array >= 0).all()
-    if not ok:
-        raise ValueError(f"{name} must be {_REAL_KINDS[kind]}")
+    # a block's min and max judge it with no temporary: a NaN gives NaN for both, and an
+    # infinity shows in one; block by block, max reads what min left in cache
+    for lo in range(0, len(array), _BLOCK_ROWS):
+        block = array[lo:lo + _BLOCK_ROWS]
+        low, high = block.min(), block.max()
+        if not (-math.inf < low and high < math.inf and (kind == "finite" or (
+                low > 0 if kind == "positive" else low >= 0 if kind == "non-negative"
+                else high <= 0))):
+            raise ValueError(f"{name} must be {_REAL_KINDS[kind]}")
     return array
 
 

@@ -113,20 +113,21 @@ def fsq_quantize(z, levels: FsqLevels | Sequence[int]) -> np.ndarray:
     """Quantize latents to 1-based codes: q_i = 1 + round(sigmoid(z_i) * (levels[i] - 1)).
 
     Rounding is half away from zero: the scaled sigmoid is never negative, so it is
-    floor(x + 0.5). Returns int64 codes with the input shape. Works _BLOCK_ROWS rows at a
-    time in one reused float64 buffer.
+    floor(x + 0.5), taken exactly as a truncating cast. Returns int64 codes with the input
+    shape. Works _BLOCK_ROWS rows at a time in one reused float64 buffer.
     """
     lv = _levels_of(levels)
     z = _check_real_array("latents", z, _rows(lv))
-    spans = np.asarray(lv.levels, dtype=np.float64) - 1.0
     out = np.empty_like(z, dtype=np.int64)  # in the latents' memory order, as a ufunc's output
     rows, codes = z.reshape(-1, lv.dimension), out.reshape(-1, lv.dimension)
     buffer = np.empty((min(len(rows), _BLOCK_ROWS), lv.dimension))
+    # the spans tiled to a whole block, so the multiply is one flat loop, not one per row
+    spans = np.tile(np.asarray(lv.levels, dtype=np.float64) - 1.0, (len(buffer), 1))
     for block in _blocks(len(rows)):
         x, c = _sigmoid(rows[block], out=buffer[:block.stop - block.start]), codes[block]
-        x *= spans
+        x *= spans[:len(x)]
         x += 0.5
-        np.floor(x, out=c, casting="unsafe")  # floored in float64, then cast: exact
+        np.copyto(c, x, casting="unsafe")  # x >= 0.5, so the cast's truncation is its floor
         c += 1
     return out
 
@@ -164,21 +165,23 @@ def fsq_encode_index(q, levels: FsqLevels | Sequence[int]) -> int | np.ndarray:
 def fsq_decode_index(index, levels: FsqLevels | Sequence[int]) -> np.ndarray:
     """Invert fsq_encode_index: flat index back to the 1-based code vector.
 
-    Channel by channel from channel 0, _BLOCK_ROWS indices at a time: divmod
-    by the level count leaves the channel's code and the remainder to divide on.
+    Channel by channel from channel 0, _BLOCK_ROWS indices at a time: the quotient by
+    the level count, kept as a contiguous row of one (dim, block) buffer, is what is
+    left to divide, and the value less quotient times level count is the channel's code.
     """
     lv = _levels_of(levels)
     idx = _check_int_array("index", index, lambda ndim: () if ndim == 0 else (None,), 0,
                            codebook_size(lv) - 1)
     out = np.empty(idx.shape + (lv.dimension,), dtype=np.int64)
     flat, codes = idx.reshape(-1), out.reshape(-1, lv.dimension)
-    remainder = np.empty(min(len(flat), _BLOCK_ROWS), dtype=np.int64)
+    quotients = np.empty((lv.dimension, min(len(flat), _BLOCK_ROWS)), dtype=np.int64)
     for block in _blocks(len(flat)):
-        rem, c = remainder[:block.stop - block.start], codes[block]
-        np.copyto(rem, flat[block])
+        t, c = quotients[:, :block.stop - block.start], codes[block]
+        np.copyto(t[0], flat[block])
         for i, level in enumerate(lv.levels[:-1]):
-            np.divmod(rem, level, out=(rem, c[:, i]))
-        c[:, -1] = rem  # below the last level count once the others are divided out
+            np.floor_divide(t[i], level, out=t[i + 1])
+            np.subtract(t[i], t[i + 1] * level, out=c[:, i])
+        c[:, -1] = t[-1]  # below the last level count once the others are divided out
         c += 1
     return out
 

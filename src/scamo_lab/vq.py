@@ -92,20 +92,28 @@ def vq_assign(batch, codebook: VqCodebook) -> np.ndarray:
     """
     batch = _check_real_array("batch", batch, (None, codebook.dim))
     entries, size, dim = codebook.entries, codebook.size, codebook.dim
-    e2, neg2_et = np.einsum("kd,kd->k", entries, entries), -2.0 * entries.T
+    e2 = np.einsum("kd,kd->k", entries, entries)
+    weights = np.vstack([-2.0 * entries.T, e2])  # [z, 1] @ weights = |e|^2 - 2 z.e, one call
     out = np.empty(len(batch), dtype=np.int64)
-    buffer = np.empty((min(len(batch), _BLOCK_ROWS), size))
+    n_buf = min(len(batch), _BLOCK_ROWS)
+    z1 = np.ones((n_buf, dim + 1))  # each block's [z, 1], its last column kept at 1
+    buffer, keep = np.empty((n_buf, size)), np.empty((n_buf, size), dtype=bool)
     step = max(1, _BLOCK_ROWS * size // dim)  # (step, d) re-check temporaries match the buffer
     for lo in range(0, len(batch), _BLOCK_ROWS):
         z = batch[lo:lo + _BLOCK_ROWS]
+        z1[:len(z), :dim] = z
         bound = np.einsum("nd,nd->n", z, z) + e2.max()
-        short = np.matmul(z, neg2_et, out=buffer[:len(z)])
-        short += e2  # |e|^2 - 2 z.e: the distance less the row constant |z|^2
-        # Rounding moves short and the exact sum together by <= 4 (d + 2) u (|z|^2 + |e|^2) plus
-        # 2 d subnormals (u = eps / 2), so the winner is within twice that of min(short); margin 4x.
-        margin = 16 * (dim + 2) * np.spacing(bound)
+        short = np.matmul(z1[:len(z)], weights, out=buffer[:len(z)])  # the distance less |z|^2
+        # short is one length d + 1 dot whose terms sum in |.| to <= |z|^2 + 2 |e|^2, one term
+        # being |e|^2, itself a length d sum: rounding moves short by <= (3 d + 2) u S plus d
+        # subnormals, and the exact sum by <= 2 (d + 2) u S plus d / 2 (S = |z|^2 + |e|^2 <=
+        # bound, u = eps / 2). So the winner is within 2 (5 d + 6) u bound + 3 d subnormals of
+        # min(short); spacing(bound) is at least u bound and one subnormal, so margin is 4x that.
+        margin = 4 * (13 * dim + 12) * np.spacing(bound)
         limit = np.where(np.isfinite(4 * bound), short.min(axis=1) + margin, np.inf)
-        rows, cols = np.divmod(np.flatnonzero(~(short > limit[:, None])), size)  # NaN stays in
+        outside = np.greater(short, limit[:, None], out=keep[:len(z)])
+        inside = np.logical_not(outside, out=outside)  # NaN stays in
+        rows, cols = np.divmod(np.flatnonzero(inside), size)
         d2 = np.concatenate([((z[rows[s:s + step]] - entries[cols[s:s + step]]) ** 2).sum(axis=1)
                              for s in range(0, len(rows), step)])
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
@@ -134,8 +142,9 @@ def vq_ema_update(batch, codebook: VqCodebook, params: VqTrainParams) -> VqCodeb
     batch = _check_real_array("batch", batch, (None, codebook.dim))
     indices = vq_assign(batch, codebook)
     n = np.bincount(indices, minlength=codebook.size).astype(np.float64)
-    s = np.zeros_like(codebook.ema_sums)
-    np.add.at(s, indices, batch)
+    # per column, rows added in order from +0.0: the sums np.add.at gives, bit for bit
+    s = np.column_stack([np.bincount(indices, weights=col, minlength=codebook.size)
+                         for col in batch.T])
     decay = params.ema_decay
     usage = decay * codebook.usage_counts + (1.0 - decay) * n
     sums = decay * codebook.ema_sums + (1.0 - decay) * s

@@ -381,10 +381,11 @@ def test_normloss_errors(invoke):
     ("model,base\r\n-1,-1\r\n\r\n-1,-1,-1\r\n", 4),
     ("-1,-1\r\r0.5,0\r", 3),
     ('-1,-1\n"-1\n",-1\n0.5,0\n', 4),
-], ids=["header and blank line", "CRLF", "lone CR", "quoted newline"])
+    ("model,base\n-1,-1\n\n-1," + "1" * 131073 + "\n", 4),
+], ids=["header and blank line", "CRLF", "lone CR", "quoted newline", "field over csv's limit"])
 def test_normloss_errors_name_the_input_line(invoke, text, line):
     """As a run log's errors do: the header and blank lines count, and a row that spans lines
-    counts each of them."""
+    counts each of them. csv's own errors name their line too."""
     code, out, err = invoke(["normloss"], stdin=text)
     assert (code, out) == (1, "") and err.startswith(f"error: line {line}: ")
 
@@ -432,7 +433,7 @@ FSQ = ["fsq", "quantize", "--levels", "8,5"]
     (["normloss"], b"\xef\xbb\xbf-0.5,-1.0\n-0.25,-2.0\n", BOM),
     (["normloss"], b"-0.5,-1.0\n\xff\n", NOT_UTF8.format(10)),
     (["normloss"], OVER_LIMIT,
-     "error: input is not valid CSV: field larger than field limit (131072)\n"),
+     "error: line 1: input is not valid CSV: field larger than field limit (131072)\n"),
     (FSQ, b"[0.5,\r\n-1.2]\r\n", None),
     (FSQ, b"[0.5,\r-1.2]\r", None),
     (FSQ, b"\xef\xbb\xbf[0.5, -1.2]", BOM),

@@ -183,6 +183,52 @@ def test_batch_shape_checks():
         vq_reset(cb, np.zeros(2), VqTrainParams())
 
 
+def add_at_update(batch, cb, params):
+    """vq_ema_update's rule with np.add.at sums over the scan's assignment."""
+    indices = scan(batch, cb.entries)
+    s = np.zeros_like(cb.ema_sums)
+    np.add.at(s, indices, batch)
+    n = np.bincount(indices, minlength=cb.size).astype(np.float64)
+    usage = params.ema_decay * cb.usage_counts + (1.0 - params.ema_decay) * n
+    sums = params.ema_decay * cb.ema_sums + (1.0 - params.ema_decay) * s
+    entries = cb.entries.copy()
+    live = usage > 0
+    entries[live] = sums[live] / np.maximum(usage[live], 1e-8)[:, None]
+    return entries, usage, sums
+
+
+def ema_case(kind, rng):
+    """(batch, codebook) of one kind: random, duplicate-heavy, lattice ties or one code."""
+    if kind == "lattice":
+        corners = rng.choice(2**5, size=20, replace=False)
+        entries = ((corners[:, None] >> np.arange(5)) & 1).astype(np.float64)
+        return rng.choice([0.0, 0.5, 1.0], size=(700, 5)), fresh(entries)
+    entries = rng.normal(size=(40, 5))
+    batch = rng.normal(size=(700, 5))
+    if kind == "duplicates":  # repeated rows, some of them -0.0 or entries exactly
+        entries[rng.integers(0, 40, size=20)] = entries[rng.integers(0, 40)]
+        batch = rng.choice([-0.0, 0.0, 1.0], size=(700, 5))
+        batch[::7] = entries[rng.integers(0, 40, size=100)]
+    if kind == "one code":
+        entries[0] = batch.mean(axis=0)
+        entries[1:] += 1e3
+    return batch, VqCodebook(entries, rng.uniform(0, 3, size=40), entries * 0.5)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["random", "duplicates", "lattice", "one code"])
+def test_ema_update_is_bit_equal_to_add_at(kind, seed):
+    rng = np.random.default_rng(seed)
+    batch, cb = ema_case(kind, rng)
+    params = VqTrainParams(ema_decay=0.9)
+    new = vq_ema_update(batch, cb, params)
+    if kind == "one code":
+        assert np.count_nonzero(np.bincount(scan(batch, cb.entries))) == 1
+    for got, want in zip((new.entries, new.usage_counts, new.ema_sums),
+                         add_at_update(batch, cb, params)):
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 # ---------------------------------------------------------------------------
 # batched assignment against the exhaustive first-minimum scan
 
@@ -211,6 +257,10 @@ ROWS = st.integers(1, 600)  # past two blocks of rows
 @given(k=st.integers(1, 300), d=st.integers(1, 12), n=ROWS, scale=SCALES,
        duplicates=st.booleans(), seed=SEEDS)
 def test_assign_random(k, d, n, scale, duplicates, seed):
+    check_random(k, d, n, scale, duplicates, seed)
+
+
+def check_random(k, d, n, scale, duplicates, seed):
     rng = np.random.default_rng(seed)
     entries = rng.normal(size=(k, d)) * scale
     if duplicates:  # exact duplicates give bit-identical distances
@@ -221,6 +271,10 @@ def test_assign_random(k, d, n, scale, duplicates, seed):
 @settings(max_examples=100, deadline=None)
 @given(d=st.integers(1, 10), n=ROWS, scale=SCALES, data=st.data(), seed=SEEDS)
 def test_assign_lattice_ties(d, n, scale, data, seed):
+    check_lattice(d, n, scale, data, seed)
+
+
+def check_lattice(d, n, scale, data, seed):
     # {0, 1/2, 1}^d points sit exactly halfway between {0, 1}^d corners on
     # every half coordinate, so most rows tie between several entries
     rng = np.random.default_rng(seed)
@@ -241,6 +295,31 @@ def test_assign_near_equidistant_midpoints(k, d, n, scale, seed):
     rel = 10.0 ** rng.uniform(-17, -12, size=(n, 1))  # down to below one ulp
     batch = mid * (1.0 + rel * rng.uniform(-1.0, 1.0, size=(n, d)))
     check_against_scan(batch, entries)
+
+
+# products and squares of coordinates this small are subnormal or underflow to 0, so the
+# shortlist margin rests on its subnormal term alone
+TINY_SCALES = st.floats(-300.0, -160.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 300), d=st.integers(1, 12), n=ROWS, scale=TINY_SCALES,
+       duplicates=st.booleans(), seed=SEEDS)
+def test_assign_random_at_subnormal_scales(k, d, n, scale, duplicates, seed):
+    check_random(k, d, n, scale, duplicates, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 10), n=ROWS, scale=TINY_SCALES, data=st.data(), seed=SEEDS)
+def test_assign_lattice_ties_at_subnormal_scales(d, n, scale, data, seed):
+    check_lattice(d, n, scale, data, seed)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 3e-161, 1e-161])
+def test_assign_at_subnormal_scales_keeps_the_winner(scale):
+    # distances of a few thousand subnormals: short errs by up to d of them per entry
+    rng = np.random.default_rng(5)
+    check_against_scan(rng.normal(size=(2000, 12)) * scale, rng.normal(size=(300, 12)) * scale)
 
 
 def test_assign_matches_per_row_quantize():
@@ -272,6 +351,20 @@ def test_assign_memory_does_not_grow_with_rows():
     finally:
         tracemalloc.stop()
     assert peak < 8192 * 512 * 8 / 8  # an eighth of the 32 MB an (n, K) matrix would take
+
+
+def test_real_array_checks_do_not_grow_with_rows():
+    # every value is checked finite and usage non-negative; a bool array the size of
+    # entries would be 1.2 MB
+    entries = np.random.default_rng(3).normal(size=(200_000, 6))
+    usage = np.ones(len(entries))
+    tracemalloc.start()
+    try:
+        VqCodebook(entries=entries, usage_counts=usage, ema_sums=entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < entries.size / 10
 
 
 def test_assign_memory_is_bounded_when_every_entry_ties():
