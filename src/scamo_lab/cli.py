@@ -134,8 +134,8 @@ def _resolve_fits(spec: str) -> ScalingFits:
     if not os.path.exists(spec):
         known = ", ".join(FITS_PRESETS)
         raise ValueError(f"{spec!r} is neither a fits preset ({known}) nor a file")
-    with open(spec, "r", encoding="utf-8") as fh:
-        return ScalingFits.from_json_dict(json.load(fh))
+    with open(spec, "rb") as fh:
+        return ScalingFits.from_json_dict(json.loads(_text(fh)))
 
 
 def _load_csv_matrix(path: str, name: str) -> np.ndarray:

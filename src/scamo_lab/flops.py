@@ -31,15 +31,16 @@ def _check_int(name: str, value: object, minimum: int = 1, maximum=None) -> None
     """The package's one integer rule: an int, never a bool, in [minimum, maximum]."""
     if (not isinstance(value, int) or isinstance(value, bool) or value < minimum
             or (maximum is not None and value > maximum)):
-        kind = {0: "a non-negative integer", 1: "a positive integer"}
-        kind = kind.get(minimum, f"an integer >= {minimum}")
-        kind = kind if maximum is None else f"an integer in [{minimum}, {maximum}]"
+        kind = (f"an integer in [{minimum}, {maximum}]" if maximum is not None
+                else {0: "a non-negative integer", 1: "a positive integer"}[minimum])
         raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
-_REAL_KINDS = {"finite": "finite", "positive": "positive and finite",
-               "non-negative": "non-negative and finite",
-               "non-positive": "non-positive and finite"}
+# each kind of real number: its words, and its test on the (lowest, highest) of finite values
+_REAL_KINDS = {"finite": ("finite", lambda lo, hi: True),
+               "positive": ("positive and finite", lambda lo, hi: lo > 0),
+               "non-negative": ("non-negative and finite", lambda lo, hi: lo >= 0),
+               "non-positive": ("non-positive and finite", lambda lo, hi: hi <= 0)}
 
 
 def _check_real(name: str, value: object, kind: str = "finite") -> float:
@@ -54,10 +55,10 @@ def _check_real(name: str, value: object, kind: str = "finite") -> float:
             x = math.inf if value > 0 else -math.inf
     else:
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if math.isfinite(x) and (kind == "finite" or (
-            x > 0 if kind == "positive" else x >= 0 if kind == "non-negative" else x <= 0)):
+    words, test = _REAL_KINDS[kind]
+    if math.isfinite(x) and test(x, x):
         return x
-    raise ValueError(f"{name} must be {_REAL_KINDS[kind]}, got {float(x)!r}")
+    raise ValueError(f"{name} must be {words}, got {float(x)!r}")
 
 
 def _as_array(value) -> np.ndarray:
@@ -85,7 +86,7 @@ def _shaped(name: str, array: np.ndarray, shape) -> np.ndarray:
 def _check_real_array(name: str, value, shape, kind: str = "finite") -> np.ndarray:
     """The real-number rule for arrays: integer, float or object values (never bool, complex or
     text, nor a ragged nesting) of the given shape as float64, every value finite, and also
-    positive or non-negative by kind. A float64 array comes back as is, not copied."""
+    positive, non-negative or non-positive by kind. A float64 array comes back as is, not copied."""
     try:
         array = _as_array(value)
         if array.dtype.kind not in "iufO":  # bool, complex, text or dates
@@ -94,15 +95,14 @@ def _check_real_array(name: str, value, shape, kind: str = "finite") -> np.ndarr
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be real numbers") from None
     _shaped(name, array, shape)
+    words, test = _REAL_KINDS[kind]
     # a block's min and max judge it with no temporary: a NaN gives NaN for both, and an
     # infinity shows in one; block by block, max reads what min left in cache
     for lo in range(0, len(array), _BLOCK_ROWS):
         block = array[lo:lo + _BLOCK_ROWS]
         low, high = block.min(), block.max()
-        if not (-math.inf < low and high < math.inf and (kind == "finite" or (
-                low > 0 if kind == "positive" else low >= 0 if kind == "non-negative"
-                else high <= 0))):
-            raise ValueError(f"{name} must be {_REAL_KINDS[kind]}")
+        if not (-math.inf < low and high < math.inf and test(low, high)):
+            raise ValueError(f"{name} must be {words}")
     return array
 
 

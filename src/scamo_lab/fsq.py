@@ -72,9 +72,7 @@ LEVEL_PRESETS: dict[str, FsqLevels] = {
 
 
 def _levels_of(levels: FsqLevels | Sequence[int]) -> FsqLevels:
-    if isinstance(levels, FsqLevels):
-        return levels
-    return FsqLevels(tuple(levels))
+    return levels if isinstance(levels, FsqLevels) else FsqLevels(levels)
 
 
 def codebook_size(levels: FsqLevels | Sequence[int]) -> int:

@@ -94,6 +94,9 @@ class ScalingFits:
         if not isinstance(obj, dict):
             raise ValueError("fits document must be a JSON object")
         laws = get_type_hints(cls)
+        unexpected = sorted(map(str, set(obj) - set(laws)))
+        if unexpected:
+            raise ValueError(f"fits document has unexpected key(s): {', '.join(unexpected)}")
         missing = sorted(set(laws) - set(obj))
         if missing:
             raise ValueError(f"fits document missing: {', '.join(missing)}")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import RunRecord, RunTable
 from .flops import ModelConfig, _check_int, _check_real, _check_real_array, params_non_embedding
-from .fsq import _LATENT_EPS, FsqLevels, _logit
+from .fsq import _LATENT_EPS, FsqLevels, _levels_of, _logit
 from .scaling import ScalingFits
 
 __all__ = [
@@ -180,7 +180,7 @@ def synth_latents(
     if kind == "uniform_code":
         if levels is None:
             raise ValueError("uniform_code needs levels")
-        lv = levels if isinstance(levels, FsqLevels) else FsqLevels(tuple(levels))
+        lv = _levels_of(levels)
         if lv.dimension != dim:
             raise ValueError(f"levels dimension {lv.dimension} does not match dim {dim}")
         return _uniform_code_latents(n, lv, rng)

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, deterministic output."""
 
+import codecs
 import errno
 import hashlib
 import io
@@ -802,6 +803,28 @@ def test_bad_fits_coefficient_is_one_error_line(invoke, tmp_path, command, bad):
     code, out, err = invoke(argv)
     assert code == 1 and out == ""
     assert err.splitlines() == [f"error: nv_vs_c.log10_coef must be a number, got {bad!r}"]
+
+
+FITS_TEXT = dumps(FITS_PRESETS["scamo-paper"].to_json_dict())
+LATIN_1_KEY = ('{"caf\xe9": 1, ' + FITS_TEXT[1:]).encode("latin-1")  # not UTF-8
+
+
+@pytest.mark.parametrize("data, error", [
+    (('{"junk": 1, ' + FITS_TEXT[1:]).encode(), "fits document has unexpected key(s): junk"),
+    (codecs.BOM_UTF8 + FITS_TEXT.encode(), "input starts with a UTF-8 byte order mark"),
+    (LATIN_1_KEY, f"'utf-8' codec can't decode byte 0xe9 in position {LATIN_1_KEY.index(0xE9)}: "
+                  "invalid continuation byte"),
+], ids=["unexpected key", "BOM", "not UTF-8"])
+@pytest.mark.parametrize("argv", [
+    ["plan", "--flops", "1e18", "--d-model", "3200", "--fits"],
+    ["synth", "--laws"],
+], ids=["plan", "synth"])
+def test_bad_fits_file_is_one_error_line_and_no_file(invoke, tmp_path, argv, data, error):
+    (tmp_path / "fits.json").write_bytes(data)
+    code, out, err = invoke([*argv, str(tmp_path / "fits.json"), "--out", str(tmp_path / "o")])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: {error}"]
+    assert [p.name for p in tmp_path.iterdir()] == ["fits.json"]
 
 
 @pytest.mark.parametrize("command", ["plan", "synth"])

@@ -1,7 +1,10 @@
 """FLOPs and parameter accounting."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from scamo_lab import (
     FlopsBreakdown,
@@ -10,6 +13,7 @@ from scamo_lab import (
     flops_per_token_exact,
     params_non_embedding,
 )
+from scamo_lab.flops import _REAL_KINDS, _check_real, _check_real_array
 
 
 def test_breakdown_reference_shape():
@@ -143,3 +147,32 @@ def test_model_config_validation():
         ModelConfig(**good, ff_ratio=0)
     with pytest.raises(ValueError, match="n_layers"):
         ModelConfig(**{**good, "n_layers": True})
+
+
+# floats of every sort, with the edges named, and ints a float holds: an int past float range is
+# inf to the scalar rule but not a real number to the array rule, by design
+REALS = (st.floats() | st.integers(-2**1023, 2**1023)
+         | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.inf, -math.inf, math.nan]))
+
+
+@pytest.mark.parametrize("kind", sorted(_REAL_KINDS))
+@given(value=REALS)
+def test_scalar_and_array_real_rules_agree(kind, value):
+    def verdict(check, *args):
+        try:
+            check("x", *args, kind)
+        except ValueError as exc:
+            return str(exc).split(", got ")[0]
+        return "accepted"
+
+    scalar = verdict(_check_real, value)
+    assert scalar in ("accepted", f"x must be {_REAL_KINDS[kind][0]}")
+    assert verdict(_check_real_array, [value], (1,)) == scalar
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, 1.0])
+def test_a_misspelt_real_kind_raises_for_any_value(value):
+    with pytest.raises(KeyError):
+        _check_real("x", value, "positve")
+    with pytest.raises(KeyError):
+        _check_real_array("x", [value], (1,), "positve")

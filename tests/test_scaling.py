@@ -229,6 +229,17 @@ def test_fits_json_strict_keys():
         ScalingFits.from_json_dict([1, 2])
 
 
+def test_fits_json_refuses_unexpected_keys_before_missing_ones():
+    doc = make_fits().to_json_dict()
+    with pytest.raises(ValueError, match=r"^fits document has unexpected key\(s\): junk, zz$"):
+        ScalingFits.from_json_dict({**doc, "zz": 2, "junk": 1})
+    with pytest.raises(ValueError, match=r"^fits document has unexpected key\(s\): 1, junk$"):
+        ScalingFits.from_json_dict({**doc, 1: 2, "junk": 1})  # a Python dict's key is named too
+    del doc["d_vs_c"]
+    with pytest.raises(ValueError, match=r"^fits document has unexpected key\(s\): junk$"):
+        ScalingFits.from_json_dict({**doc, "junk": 1})
+
+
 @pytest.mark.parametrize("bad", [[1], "1", True, None])
 def test_fits_json_rejects_non_number_coefficients(bad):
     doc = make_fits().to_json_dict()

@@ -12,6 +12,7 @@ from scamo_lab import (
     FITS_PRESETS,
     LEVEL_PRESETS,
     CGridSpec,
+    FsqLevels,
     PowerLawFit,
     SynthSpec,
     fit_all,
@@ -235,6 +236,16 @@ def test_gaussian_mixture_explicit_means():
     labels = z[:, 0] > 0
     assert 0.4 < labels.mean() < 0.6  # both components sampled
     assert z[labels, 0].mean() == pytest.approx(10.0, abs=0.2)
+
+
+@pytest.mark.parametrize("make", [list, tuple, FsqLevels])
+def test_synth_latents_takes_levels_in_any_form(make):
+    z = synth_latents("uniform_code", 1000, 4, levels=make((8, 5, 5, 5)), seed=3)
+    want = synth_latents("uniform_code", 1000, 4, levels=LEVEL_PRESETS["2^10"], seed=3)
+    assert z.dtype == want.dtype and z.tobytes() == want.tobytes()
+    with pytest.raises(ValueError) as exc:
+        synth_latents("uniform_code", 10, 2, levels=make((8, 1)), seed=3)
+    assert str(exc.value) == "every level count must be an integer in [2, 4503599627370496], got 1"
 
 
 def test_synth_latents_validation():
