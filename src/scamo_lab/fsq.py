@@ -11,8 +11,10 @@ All array ops accept a single latent of shape (dim,) or a batch (n, dim).
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import AbstractSet, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,6 +34,7 @@ __all__ = [
 
 _LATENT_EPS = 1e-6  # latents for endpoint codes stay this far inside (0, 1) before the logit
 _MAX_LEVEL = 2**52  # quantize rounds in float64: floor(x + 0.5) is exact only for x < 2**52
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -41,8 +44,9 @@ class FsqLevels:
     levels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.levels, tuple):
-            object.__setattr__(self, "levels", tuple(self.levels))
+        if isinstance(levels := self.levels, (str, bytes, Mapping, AbstractSet)):  # not in order
+            raise ValueError(f"levels must be a sequence of integers, got {type(levels).__name__}")
+        object.__setattr__(self, "levels", tuple(levels))  # a tuple stays the same object
         if len(self.levels) == 0:
             raise ValueError("levels must be non-empty")
         for lv in self.levels:
@@ -81,8 +85,8 @@ def codebook_size(levels: FsqLevels | Sequence[int]) -> int:
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """1 / (1 + exp(-z)), into out if given; an overflowing exp gives exactly 0, as it should."""
-    with np.errstate(over="ignore"):
+    """1 / (1 + exp(-z)), into out if given; exp's overflow and underflow give exactly 0 and 1."""
+    with np.errstate(over="ignore", under="ignore"):  # set on this thread, whatever the caller's
         out = np.negative(z, out=out)
         np.exp(out, out=out)
         out += 1.0
@@ -102,9 +106,29 @@ def _rows(lv: FsqLevels):
     return lambda ndim: (lv.dimension,) if ndim == 1 else (None, lv.dimension)
 
 
-def _blocks(n: int):
-    """Slices of at most _BLOCK_ROWS rows that cover range(n) in order."""
-    return (slice(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS))
+def _blocks(lo: int, hi: int):
+    """Slices of at most _BLOCK_ROWS rows that cover range(lo, hi) in order."""
+    return (slice(start, min(start + _BLOCK_ROWS, hi)) for start in range(lo, hi, _BLOCK_ROWS))
+
+
+def _fan_out(n: int, kernel) -> None:
+    """Call kernel(lo, hi) on at most _WORKERS runs of whole blocks that cover range(n), n > 0:
+    the first on this thread, the rest on threads, all joined before the first error is raised."""
+    per = -(-n // (_BLOCK_ROWS * _WORKERS)) * _BLOCK_ROWS  # rows in a run; under 2 blocks, 1 run
+    runs, errors = [(lo, min(lo + per, n)) for lo in range(0, n, per)], []
+    def guarded(lo: int, hi: int) -> None:
+        try:
+            kernel(lo, hi)
+        except BaseException as exc:  # raised on the calling thread once every run is done
+            errors.append(exc)
+    threads = [threading.Thread(target=guarded, args=run) for run in runs[1:]]
+    for t in threads:
+        t.start()
+    guarded(*runs[0])
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
 
 
 def fsq_quantize(z, levels: FsqLevels | Sequence[int]) -> np.ndarray:
@@ -112,21 +136,23 @@ def fsq_quantize(z, levels: FsqLevels | Sequence[int]) -> np.ndarray:
 
     Rounding is half away from zero: the scaled sigmoid is never negative, so it is
     floor(x + 0.5), taken exactly as a truncating cast. Returns int64 codes with the input
-    shape. Works _BLOCK_ROWS rows at a time in one reused float64 buffer.
+    shape. Works _BLOCK_ROWS rows at a time, each thread in one reused float64 buffer.
     """
     lv = _levels_of(levels)
     z = _check_real_array("latents", z, _rows(lv))
     out = np.empty_like(z, dtype=np.int64)  # in the latents' memory order, as a ufunc's output
     rows, codes = z.reshape(-1, lv.dimension), out.reshape(-1, lv.dimension)
-    buffer = np.empty((min(len(rows), _BLOCK_ROWS), lv.dimension))
     # the spans tiled to a whole block, so the multiply is one flat loop, not one per row
-    spans = np.tile(np.asarray(lv.levels, dtype=np.float64) - 1.0, (len(buffer), 1))
-    for block in _blocks(len(rows)):
-        x, c = _sigmoid(rows[block], out=buffer[:block.stop - block.start]), codes[block]
-        x *= spans[:len(x)]
-        x += 0.5
-        np.copyto(c, x, casting="unsafe")  # x >= 0.5, so the cast's truncation is its floor
-        c += 1
+    spans = np.tile(np.asarray(lv.levels, dtype=np.float64) - 1.0, (min(len(rows), _BLOCK_ROWS), 1))
+    def kernel(lo: int, hi: int) -> None:
+        buffer = np.empty_like(spans)
+        for block in _blocks(lo, hi):
+            x, c = _sigmoid(rows[block], out=buffer[:block.stop - block.start]), codes[block]
+            x *= spans[:len(x)]
+            x += 0.5
+            np.copyto(c, x, casting="unsafe")  # x >= 0.5, so the cast's truncation is its floor
+            c += 1
+    _fan_out(len(rows), kernel)
     return out
 
 
@@ -150,13 +176,15 @@ def fsq_encode_index(q, levels: FsqLevels | Sequence[int]) -> int | np.ndarray:
     q = _check_int_array("codes", q, _rows(lv), 1, lv.levels)
     rows = q.reshape(-1, lv.dimension)
     out = np.empty(len(rows), dtype=np.int64)
-    for block in _blocks(len(rows)):
-        acc, c = out[block], rows[block]
-        np.subtract(c[:, -1], 1, out=acc)
-        for i in range(lv.dimension - 2, -1, -1):
-            acc *= lv.levels[i]
-            acc -= 1
-            acc += c[:, i]
+    def kernel(lo: int, hi: int) -> None:
+        for block in _blocks(lo, hi):
+            acc, c = out[block], rows[block]
+            np.subtract(c[:, -1], 1, out=acc)
+            for i in range(lv.dimension - 2, -1, -1):
+                acc *= lv.levels[i]
+                acc -= 1
+                acc += c[:, i]
+    _fan_out(len(rows), kernel)
     return int(out[0]) if q.ndim == 1 else out
 
 
@@ -164,7 +192,7 @@ def fsq_decode_index(index, levels: FsqLevels | Sequence[int]) -> np.ndarray:
     """Invert fsq_encode_index: flat index back to the 1-based code vector.
 
     Channel by channel from channel 0, _BLOCK_ROWS indices at a time: the quotient by
-    the level count, kept as a contiguous row of one (dim, block) buffer, is what is
+    the level count, kept as a contiguous row of a thread's (dim, block) buffer, is what is
     left to divide, and the value less quotient times level count is the channel's code.
     """
     lv = _levels_of(levels)
@@ -172,15 +200,17 @@ def fsq_decode_index(index, levels: FsqLevels | Sequence[int]) -> np.ndarray:
                            codebook_size(lv) - 1)
     out = np.empty(idx.shape + (lv.dimension,), dtype=np.int64)
     flat, codes = idx.reshape(-1), out.reshape(-1, lv.dimension)
-    quotients = np.empty((lv.dimension, min(len(flat), _BLOCK_ROWS)), dtype=np.int64)
-    for block in _blocks(len(flat)):
-        t, c = quotients[:, :block.stop - block.start], codes[block]
-        np.copyto(t[0], flat[block])
-        for i, level in enumerate(lv.levels[:-1]):
-            np.floor_divide(t[i], level, out=t[i + 1])
-            np.subtract(t[i], t[i + 1] * level, out=c[:, i])
-        c[:, -1] = t[-1]  # below the last level count once the others are divided out
-        c += 1
+    def kernel(lo: int, hi: int) -> None:
+        quotients = np.empty((lv.dimension, min(hi - lo, _BLOCK_ROWS)), dtype=np.int64)
+        for block in _blocks(lo, hi):
+            t, c = quotients[:, :block.stop - block.start], codes[block]
+            np.copyto(t[0], flat[block])
+            for i, level in enumerate(lv.levels[:-1]):
+                np.floor_divide(t[i], level, out=t[i + 1])
+                np.subtract(t[i], t[i + 1] * level, out=c[:, i])
+            c[:, -1] = t[-1]  # below the last level count once the others are divided out
+            c += 1
+    _fan_out(len(flat), kernel)
     return out
 
 

@@ -52,6 +52,17 @@ def test_levels_validation():
         FsqLevels((2,) * 64)  # 2**64 codes overflow the exact index range
 
 
+@pytest.mark.parametrize("levels, kind", [
+    ({8: 1, 5: 2}, "dict"), ({8, 5, 3}, "set"), (frozenset({8, 5}), "frozenset"),
+    ({8: 1}.keys(), "dict_keys"), ("88", "str"), (b"88", "bytes"),
+])
+def test_levels_refuse_containers_without_counts_in_order(levels, kind):
+    """A mapping would be read as its keys, a set in hash order and a string as characters."""
+    with pytest.raises(ValueError) as err:
+        FsqLevels(levels)
+    assert str(err.value) == f"levels must be a sequence of integers, got {kind}"
+
+
 @pytest.mark.parametrize("level", [2**52 + 2, 2**53, 2**60 + 1000, 2**63 - 1])
 def test_level_counts_past_float64_rounding_are_refused(level):
     """Quantize rounds in float64: past 2**52 levels, 50.0 could get a code above the count."""

@@ -4,16 +4,21 @@ The references below are `fsq_quantize`, `fsq_encode_index` and
 `fsq_decode_index` as they were before the kernels walked rows in blocks of
 `_BLOCK_ROWS`: one full-size temporary per op, `np.ravel_multi_index` and
 `np.unravel_index`. The kernels must give equal arrays (dtype, shape and
-C-contiguity included) and the same error text, on every layout of input.
+C-contiguity included) and the same error text, on every layout of input, and
+the same bytes whatever number of threads their row blocks are split over.
 """
 
 import math
+import os
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from scamo_lab import codebook_size, fsq_decode_index, fsq_encode_index, fsq_quantize
+from scamo_lab import codebook_size, fsq, fsq_decode_index, fsq_encode_index, fsq_quantize
 from scamo_lab.flops import _check_int_array, _check_real_array
 from scamo_lab.fsq import _BLOCK_ROWS, _MAX_LEVEL, _levels_of, _rows
 
@@ -67,7 +72,8 @@ def _layout(a: np.ndarray, how: str):
         view = wide[(..., *(slice(None, None, 2) for _ in a.shape))]  # ...: a 0-d a stays an array
         view[...] = a
         return view
-    if how == "narrow" and (a.dtype.kind == "f" or np.abs(a).max() <= np.iinfo(np.int32).max):
+    if how == "narrow" and (a.dtype.kind == "f"  # initial: a may be empty
+                            or np.abs(a).max(initial=0) <= np.iinfo(np.int32).max):
         return a.astype(np.float32 if a.dtype.kind == "f" else np.int32)
     return a.tolist() if how == "list" else a
 
@@ -151,3 +157,114 @@ def test_decode_out_of_range_index_matches_the_reference(index):
     index = codebook_size(levels) if index == "size" else index
     for value in (index, np.array([0, index]), [[index]]):
         assert _same(fsq_decode_index, reference_decode, value, levels) is None
+
+
+# ---------------------------------------------------------------------------
+# row blocks split over threads
+
+KERNELS = [(fsq_quantize, reference_quantize), (fsq_encode_index, reference_encode),
+           (fsq_decode_index, reference_decode)]
+
+
+def _inputs(rows, levels, seed=0):
+    """Latents, their codes and their indices, rows of them, or one vector for rows None.
+    Zero rows, which every kernel refuses, give empty arrays."""
+    shape = (len(levels),) if rows is None else (rows, len(levels))
+    z = np.random.default_rng(seed).normal(0.0, 3.0, size=shape)
+    if rows == 0:
+        return z, np.ones(shape, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    q = reference_quantize(z, levels)
+    return z, q, np.asarray(reference_encode(q, levels), dtype=np.int64)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this OS")
+def test_workers_are_the_cpus_in_the_affinity_mask():
+    assert fsq._WORKERS == len(os.sched_getaffinity(0))  # 1 under `taskset -c 0`
+
+
+@pytest.mark.parametrize("levels", [(8, 5, 5, 5), (2**52 - 1, 3)])
+@pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_kernels_give_the_same_bytes_for_any_worker_count(monkeypatch, levels, rows, layout):
+    inputs = _inputs(rows, levels, seed=rows)
+    results = {}
+    for workers in range(1, 8):
+        monkeypatch.setattr(fsq, "_WORKERS", workers)
+        results[workers] = [_same(kernel, reference, _layout(value, layout), levels)
+                            for (kernel, reference), value in zip(KERNELS, inputs)]
+    first = results[1]
+    for got in results.values():
+        for a, b in zip(first, got):
+            assert (a is None) == (b is None)  # an input a reference refuses is refused alike
+            if a is not None:
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def test_a_failing_run_raises_on_the_caller_after_every_thread_is_joined(monkeypatch):
+    monkeypatch.setattr(fsq, "_WORKERS", 3)
+    before, seen = threading.active_count(), []
+
+    def kernel(lo, hi):
+        seen.append((lo, hi))
+        if lo == 2 * B:
+            raise RuntimeError(f"run {lo}:{hi}")
+
+    with pytest.raises(RuntimeError, match=f"run {2 * B}:{3 * B + 7}"):
+        fsq._fan_out(3 * B + 7, kernel)
+    assert sorted(seen) == [(0, 2 * B), (2 * B, 3 * B + 7)]  # whole blocks, ceil(4 / 3) a run
+    assert threading.active_count() == before
+
+    def sigmoid_off_the_caller(z, out=None):
+        if threading.current_thread() is caller:
+            return real_sigmoid(z, out)
+        raise FloatingPointError("in a worker")
+
+    caller, real_sigmoid = threading.current_thread(), fsq._sigmoid
+    monkeypatch.setattr(fsq, "_sigmoid", sigmoid_off_the_caller)
+    with pytest.raises(FloatingPointError, match="in a worker"):
+        fsq_quantize(np.zeros((2 * B, 3)), (8, 5, 5))
+    assert threading.active_count() == before
+
+
+def test_threads_start_only_from_two_blocks_and_all_end(monkeypatch):
+    monkeypatch.setattr(fsq, "_WORKERS", 7)
+    started, real_start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: (started.append(thread), real_start(thread))[1])
+    levels = (8, 5, 5)
+    for rows, threads in [(None, 0), (1, 0), (B - 1, 0), (B, 0), (B + 1, 1), (3 * B + 7, 3)]:
+        for (kernel, _), value in zip(KERNELS, _inputs(rows, levels)):
+            before = threading.active_count()
+            started.clear()
+            kernel(value, levels)
+            assert len(started) == threads, (kernel.__name__, rows)
+            assert threading.active_count() == before
+
+
+def test_many_runs_under_fast_thread_switching(monkeypatch):
+    """More threads than cores, switched every microsecond: each run writes its own rows only."""
+    monkeypatch.setattr(fsq, "_WORKERS", 7)
+    monkeypatch.setattr(fsq, "_BLOCK_ROWS", 16)  # 63 blocks of 1000 rows: 7 runs of 9 blocks
+    levels = (8, 5, 5)
+    z, q, idx = _inputs(1000, levels)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            assert np.array_equal(fsq_quantize(z, levels), q)
+            assert np.array_equal(fsq_encode_index(q, levels), idx)
+            assert np.array_equal(fsq_decode_index(idx, levels), q)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_quantize_keeps_its_errstate_on_every_thread(monkeypatch):
+    """numpy's errstate is per thread: no worker inherits the caller's or lets a warning out."""
+    monkeypatch.setattr(fsq, "_WORKERS", 3)
+    levels = (8, 5, 5)
+    z = np.resize(np.array([800.0, -800.0, 1e308, -1e308, 0.25]), (3 * B + 7, len(levels)))
+    want = reference_quantize(z, levels)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = fsq_quantize(z, levels)
+    assert np.array_equal(got, want)
