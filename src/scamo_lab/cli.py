@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import contextlib
 import csv
 import dataclasses
 import errno
@@ -397,7 +398,10 @@ def run(argv: list[str] | None = None) -> int:
             sys.stdout.writelines(chunks)
             sys.stdout.flush()  # a full disk or closed pipe fails here, not at exit
     except BrokenPipeError:  # the reader stopped early, as `| head` does: not an error to word
-        sys.stdout = open(os.devnull, "w")  # the exit flush goes here, not to the closed pipe
+        with contextlib.suppress(io.UnsupportedOperation):  # in memory: no exit flush to divert
+            fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)  # the exit flush goes to /dev/null, not to the closed pipe
+            os.close(devnull)
         return 1
     except (ValueError, OSError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         print(f"error: {exc}", file=sys.stderr)

@@ -84,10 +84,10 @@ def codebook_size(levels: FsqLevels | Sequence[int]) -> int:
     return math.prod(_levels_of(levels).levels)
 
 
-def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """1 / (1 + exp(-z)), into out if given; exp's overflow and underflow give exactly 0 and 1."""
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)); exp's overflow and underflow give exactly 0 and 1."""
     with np.errstate(over="ignore", under="ignore"):  # set on this thread, whatever the caller's
-        out = np.negative(z, out=out)
+        out = np.negative(z)
         np.exp(out, out=out)
         out += 1.0
         return np.divide(1.0, out, out=out)
@@ -106,25 +106,22 @@ def _rows(lv: FsqLevels):
     return lambda ndim: (lv.dimension,) if ndim == 1 else (None, lv.dimension)
 
 
-def _blocks(lo: int, hi: int):
-    """Slices of at most _BLOCK_ROWS rows that cover range(lo, hi) in order."""
-    return (slice(start, min(start + _BLOCK_ROWS, hi)) for start in range(lo, hi, _BLOCK_ROWS))
-
-
 def _fan_out(n: int, kernel) -> None:
-    """Call kernel(lo, hi) on at most _WORKERS runs of whole blocks that cover range(n), n > 0:
-    the first on this thread, the rest on threads, all joined before the first error is raised."""
+    """Call kernel(block) on each slice of at most _BLOCK_ROWS rows of range(n), n > 0, in order
+    within at most _WORKERS runs of whole blocks: the first run on this thread, the rest on
+    threads, all joined before the first error is raised."""
     per = -(-n // (_BLOCK_ROWS * _WORKERS)) * _BLOCK_ROWS  # rows in a run; under 2 blocks, 1 run
-    runs, errors = [(lo, min(lo + per, n)) for lo in range(0, n, per)], []
-    def guarded(lo: int, hi: int) -> None:
+    errors = []
+    def run(lo: int) -> None:
         try:
-            kernel(lo, hi)
+            for start in range(lo, min(lo + per, n), _BLOCK_ROWS):
+                kernel(slice(start, min(start + _BLOCK_ROWS, n)))
         except BaseException as exc:  # raised on the calling thread once every run is done
             errors.append(exc)
-    threads = [threading.Thread(target=guarded, args=run) for run in runs[1:]]
+    threads = [threading.Thread(target=run, args=(lo,)) for lo in range(per, n, per)]
     for t in threads:
         t.start()
-    guarded(*runs[0])
+    run(0)
     for t in threads:
         t.join()
     if errors:
@@ -136,7 +133,7 @@ def fsq_quantize(z, levels: FsqLevels | Sequence[int]) -> np.ndarray:
 
     Rounding is half away from zero: the scaled sigmoid is never negative, so it is
     floor(x + 0.5), taken exactly as a truncating cast. Returns int64 codes with the input
-    shape. Works _BLOCK_ROWS rows at a time, each thread in one reused float64 buffer.
+    shape. Works _BLOCK_ROWS rows at a time.
     """
     lv = _levels_of(levels)
     z = _check_real_array("latents", z, _rows(lv))
@@ -144,14 +141,12 @@ def fsq_quantize(z, levels: FsqLevels | Sequence[int]) -> np.ndarray:
     rows, codes = z.reshape(-1, lv.dimension), out.reshape(-1, lv.dimension)
     # the spans tiled to a whole block, so the multiply is one flat loop, not one per row
     spans = np.tile(np.asarray(lv.levels, dtype=np.float64) - 1.0, (min(len(rows), _BLOCK_ROWS), 1))
-    def kernel(lo: int, hi: int) -> None:
-        buffer = np.empty_like(spans)
-        for block in _blocks(lo, hi):
-            x, c = _sigmoid(rows[block], out=buffer[:block.stop - block.start]), codes[block]
-            x *= spans[:len(x)]
-            x += 0.5
-            np.copyto(c, x, casting="unsafe")  # x >= 0.5, so the cast's truncation is its floor
-            c += 1
+    def kernel(block: slice) -> None:
+        x, c = _sigmoid(rows[block]), codes[block]
+        x *= spans[:len(x)]
+        x += 0.5
+        np.copyto(c, x, casting="unsafe")  # x >= 0.5, so the cast's truncation is its floor
+        c += 1
     _fan_out(len(rows), kernel)
     return out
 
@@ -160,8 +155,15 @@ def fsq_dequantize(q, levels: FsqLevels | Sequence[int]) -> np.ndarray:
     """Map codes to their level centers (q_i - 1) / (levels[i] - 1) in [0, 1]."""
     lv = _levels_of(levels)
     q = _check_int_array("codes", q, _rows(lv), 1, lv.levels)
+    out = np.empty_like(q, dtype=np.float64)  # in the codes' memory order, as a ufunc's output
+    rows, values = q.reshape(-1, lv.dimension), out.reshape(-1, lv.dimension)
     spans = np.asarray(lv.levels, dtype=np.float64) - 1.0
-    return (q - 1) / spans
+    def kernel(block: slice) -> None:
+        v = values[block]
+        np.subtract(rows[block], 1, out=v, casting="unsafe")  # exact: codes are at most 2**52
+        v /= spans
+    _fan_out(len(rows), kernel)
+    return out
 
 
 def fsq_encode_index(q, levels: FsqLevels | Sequence[int]) -> int | np.ndarray:
@@ -176,14 +178,13 @@ def fsq_encode_index(q, levels: FsqLevels | Sequence[int]) -> int | np.ndarray:
     q = _check_int_array("codes", q, _rows(lv), 1, lv.levels)
     rows = q.reshape(-1, lv.dimension)
     out = np.empty(len(rows), dtype=np.int64)
-    def kernel(lo: int, hi: int) -> None:
-        for block in _blocks(lo, hi):
-            acc, c = out[block], rows[block]
-            np.subtract(c[:, -1], 1, out=acc)
-            for i in range(lv.dimension - 2, -1, -1):
-                acc *= lv.levels[i]
-                acc -= 1
-                acc += c[:, i]
+    def kernel(block: slice) -> None:
+        acc, c = out[block], rows[block]
+        np.subtract(c[:, -1], 1, out=acc)
+        for i in range(lv.dimension - 2, -1, -1):
+            acc *= lv.levels[i]
+            acc -= 1
+            acc += c[:, i]
     _fan_out(len(rows), kernel)
     return int(out[0]) if q.ndim == 1 else out
 
@@ -192,24 +193,22 @@ def fsq_decode_index(index, levels: FsqLevels | Sequence[int]) -> np.ndarray:
     """Invert fsq_encode_index: flat index back to the 1-based code vector.
 
     Channel by channel from channel 0, _BLOCK_ROWS indices at a time: the quotient by
-    the level count, kept as a contiguous row of a thread's (dim, block) buffer, is what is
-    left to divide, and the value less quotient times level count is the channel's code.
+    the level count, kept as a contiguous row of the block's (dim, block) quotients, is what
+    is left to divide, and the value less quotient times level count is the channel's code.
     """
     lv = _levels_of(levels)
     idx = _check_int_array("index", index, lambda ndim: () if ndim == 0 else (None,), 0,
                            codebook_size(lv) - 1)
     out = np.empty(idx.shape + (lv.dimension,), dtype=np.int64)
     flat, codes = idx.reshape(-1), out.reshape(-1, lv.dimension)
-    def kernel(lo: int, hi: int) -> None:
-        quotients = np.empty((lv.dimension, min(hi - lo, _BLOCK_ROWS)), dtype=np.int64)
-        for block in _blocks(lo, hi):
-            t, c = quotients[:, :block.stop - block.start], codes[block]
-            np.copyto(t[0], flat[block])
-            for i, level in enumerate(lv.levels[:-1]):
-                np.floor_divide(t[i], level, out=t[i + 1])
-                np.subtract(t[i], t[i + 1] * level, out=c[:, i])
-            c[:, -1] = t[-1]  # below the last level count once the others are divided out
-            c += 1
+    def kernel(block: slice) -> None:
+        t, c = np.empty((lv.dimension, block.stop - block.start), dtype=np.int64), codes[block]
+        np.copyto(t[0], flat[block])
+        for i, level in enumerate(lv.levels[:-1]):
+            np.floor_divide(t[i], level, out=t[i + 1])
+            np.subtract(t[i], t[i + 1] * level, out=c[:, i])
+        c[:, -1] = t[-1]  # below the last level count once the others are divided out
+        c += 1
     _fan_out(len(flat), kernel)
     return out
 

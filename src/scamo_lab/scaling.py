@@ -177,6 +177,7 @@ def pareto_frontier(
     return frontier
 
 
+@np.errstate(over="ignore", invalid="ignore")  # squares past float range reach r2 as inf or nan
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Least-squares line, returning (slope, intercept, r2).
 

@@ -67,11 +67,19 @@ class TokenProbRecord:
         _check_real("baseline_logp", self.baseline_logp, "non-positive")
 
 
+def _fsum(what: str, terms) -> float:
+    """math.fsum(terms), or a ValueError naming the sum when it passes float range."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:  # fsum raises on an intermediate sum past float range
+        raise ValueError(f"the sum of {what} overflows") from None
+
+
 def ce_loss(records: Sequence[TokenProbRecord]) -> dict[str, float]:
     """Cross-entropy of the model log-probs: sum and mean, in nats."""
     if len(records) == 0:
         raise ValueError("no records")
-    total = -math.fsum(r.model_logp for r in records)
+    total = -_fsum("model_logp", (r.model_logp for r in records))
     return {"sum_nats": total, "mean_nats": total / len(records)}
 
 
@@ -84,4 +92,5 @@ def normalized_loss(records: Sequence[TokenProbRecord]) -> float:
     """
     if len(records) == 0:
         raise ValueError("no records")
-    return -math.fsum(r.model_logp - r.baseline_logp for r in records) / len(records)
+    return -_fsum("model_logp - baseline_logp",
+                  (r.model_logp - r.baseline_logp for r in records)) / len(records)

@@ -73,7 +73,7 @@ class VqTrainParams:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.ema_decay < 1.0):
+        if _check_real("ema_decay", self.ema_decay, "positive") >= 1.0:
             raise ValueError(f"ema_decay must lie in (0, 1), got {self.ema_decay!r}")
         _check_real("reset_threshold", self.reset_threshold, "non-negative")
         _check_int("rng_seed", self.rng_seed, minimum=0)

@@ -377,6 +377,11 @@ def test_normloss_errors(invoke):
     assert code == 1 and "line 1" in err
 
 
+def test_normloss_sum_past_float_range_is_one_error_line(invoke):
+    assert invoke(["normloss"], stdin="-1e308,-1e308\n-1e308,-1e308\n") == (
+        1, "", "error: the sum of model_logp overflows\n")
+
+
 @pytest.mark.parametrize("text, line", [
     ("model,base\n-1,-1\n\n0.5,0\n", 4),
     ("model,base\r\n-1,-1\r\n\r\n-1,-1,-1\r\n", 4),
@@ -636,21 +641,30 @@ def test_a_failing_stdout_is_one_error_line(invoke, monkeypatch, three_chunk_log
     assert stdout.getvalue() == "".join(lines[:_CHUNK_ROWS * room])
 
 
-def test_a_closed_stdout_pipe_ends_quietly(invoke, monkeypatch, three_chunk_log):
-    monkeypatch.setattr(sys, "stdout", CountedStdout(1, errno.EPIPE))
-    assert invoke(["ingest", "--runs", str(three_chunk_log)]) == (1, "", "")
-    assert sys.stdout.name == os.devnull  # what is left to flush at exit goes nowhere
-    sys.stdout.close()
+def test_a_closed_stdout_pipe_ends_quietly(invoke, monkeypatch, three_chunk_log, tmp_path):
+    argv = ["ingest", "--runs", str(three_chunk_log)]
+    monkeypatch.setattr(sys, "stdout", stdout := CountedStdout(1, errno.EPIPE))
+    assert invoke(argv) == (1, "", "")
+    assert sys.stdout is stdout  # in memory: no descriptor to divert
+    # on a descriptor, what is left to flush at exit goes to /dev/null through it
+    with open(tmp_path / "stdout", "wb") as fh:
+        monkeypatch.setattr(sys, "stdout", stdout := CountedStdout(1, errno.EPIPE))
+        stdout.fileno = fh.fileno
+        assert invoke(argv) == (1, "", "")
+        assert sys.stdout is stdout
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
 
 
 def test_a_reader_that_stops_early_gets_no_error_line():
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "scamo_lab", "synth", "--grid-points", "100",
-         "--runs-per-budget", "500"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    with proc:
-        assert len(proc.stdout.read(100)) == 100
-        proc.stdout.close()
-        assert (proc.wait(timeout=120), proc.stderr.read()) == (1, b"")
+    for warnings_env in ({}, {"PYTHONWARNINGS": "error"}):  # error: no file is left unclosed
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "scamo_lab", "synth", "--grid-points", "100",
+             "--runs-per-budget", "500"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, **warnings_env})
+        with proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            assert (proc.wait(timeout=120), proc.stderr.read()) == (1, b""), warnings_env
 
 
 @pytest.mark.parametrize("out", [None, "out.jsonl"])
@@ -850,6 +864,15 @@ def test_fit_rejects_run_past_float_range(invoke):
         f"error: invalid run log: line 1: n_layers must be an integer in [1, {2**63 - 1}], "
         f"got {record['n_layers']}"
     ]
+
+
+def test_fit_of_losses_past_float_range_is_one_error_line(invoke):
+    """Squares past float range in the least-squares fit warn nothing: r2's check words it."""
+    runs = [json.dumps({**json.loads(RUN_LINE), "run_id": f"r{i}", "flops": flops,
+                        "normalized_loss": loss})
+            for i, (flops, loss) in enumerate([(1e15, 1e308), (1e17, -1e308), (1e19, 1e308)])]
+    assert invoke(["fit", "--bin-width", "1"], stdin="\n".join(runs) + "\n") == (
+        1, "", "error: r2 must be finite, got nan\n")
 
 
 def test_synth_output_loads(invoke):

@@ -1,10 +1,10 @@
 """The blocked FSQ kernels against the whole-array forms they replaced.
 
-The references below are `fsq_quantize`, `fsq_encode_index` and
-`fsq_decode_index` as they were before the kernels walked rows in blocks of
+The references below are `fsq_quantize`, `fsq_dequantize`, `fsq_encode_index`
+and `fsq_decode_index` as they were before the kernels walked rows in blocks of
 `_BLOCK_ROWS`: one full-size temporary per op, `np.ravel_multi_index` and
 `np.unravel_index`. The kernels must give equal arrays (dtype, shape and
-C-contiguity included) and the same error text, on every layout of input, and
+memory order included) and the same error text, on every layout of input, and
 the same bytes whatever number of threads their row blocks are split over.
 """
 
@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from scamo_lab import codebook_size, fsq, fsq_decode_index, fsq_encode_index, fsq_quantize
+from scamo_lab import (codebook_size, fsq, fsq_decode_index, fsq_dequantize, fsq_encode_index,
+                       fsq_quantize)
 from scamo_lab.flops import _check_int_array, _check_real_array
 from scamo_lab.fsq import _BLOCK_ROWS, _MAX_LEVEL, _levels_of, _rows
 
@@ -33,6 +34,12 @@ def reference_quantize(z, levels):
     with np.errstate(over="ignore"):
         sigmoid = 1.0 / (1.0 + np.exp(-z))
     return (1 + np.floor(sigmoid * spans + 0.5)).astype(np.int64)
+
+
+def reference_dequantize(q, levels):
+    lv = _levels_of(levels)
+    q = _check_int_array("codes", q, _rows(lv), 1, lv.levels)
+    return (q - 1) / (np.asarray(lv.levels, dtype=np.float64) - 1.0)
 
 
 def reference_encode(q, levels):
@@ -98,8 +105,8 @@ def _same(kernel, reference, value, levels):
     if isinstance(want, int):
         assert type(got) is int and got == want
     else:
-        assert (got.dtype, got.shape, got.flags.c_contiguous) == (
-            want.dtype, want.shape, want.flags.c_contiguous)
+        assert (got.dtype, got.shape, got.flags.c_contiguous, got.flags.f_contiguous) == (
+            want.dtype, want.shape, want.flags.c_contiguous, want.flags.f_contiguous)
         assert np.array_equal(got, want)
     return got
 
@@ -133,6 +140,7 @@ def test_kernels_match_the_whole_array_references(case):
         assert not np.isfinite(z).all()  # only a NaN or an infinity is refused
         return
     assert q.min() >= 1 and (q <= np.asarray(levels)).all()
+    _same(fsq_dequantize, reference_dequantize, _layout(q, layout), levels)
 
     q = q.copy()
     q.reshape(-1, len(levels))[-1] = levels  # the largest code: index prod(levels) - 1
@@ -162,19 +170,20 @@ def test_decode_out_of_range_index_matches_the_reference(index):
 # ---------------------------------------------------------------------------
 # row blocks split over threads
 
-KERNELS = [(fsq_quantize, reference_quantize), (fsq_encode_index, reference_encode),
-           (fsq_decode_index, reference_decode)]
+KERNELS = [(fsq_quantize, reference_quantize), (fsq_dequantize, reference_dequantize),
+           (fsq_encode_index, reference_encode), (fsq_decode_index, reference_decode)]
 
 
 def _inputs(rows, levels, seed=0):
-    """Latents, their codes and their indices, rows of them, or one vector for rows None.
-    Zero rows, which every kernel refuses, give empty arrays."""
+    """The input of each of KERNELS: latents, their codes twice and their indices, rows of them,
+    or one vector for rows None. Zero rows, which every kernel refuses, give empty arrays."""
     shape = (len(levels),) if rows is None else (rows, len(levels))
     z = np.random.default_rng(seed).normal(0.0, 3.0, size=shape)
     if rows == 0:
-        return z, np.ones(shape, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        q = np.ones(shape, dtype=np.int64)
+        return z, q, q, np.zeros(0, dtype=np.int64)
     q = reference_quantize(z, levels)
-    return z, q, np.asarray(reference_encode(q, levels), dtype=np.int64)
+    return z, q, q, np.asarray(reference_encode(q, levels), dtype=np.int64)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this OS")
@@ -202,24 +211,36 @@ def test_kernels_give_the_same_bytes_for_any_worker_count(monkeypatch, levels, r
 
 def test_a_failing_run_raises_on_the_caller_after_every_thread_is_joined(monkeypatch):
     monkeypatch.setattr(fsq, "_WORKERS", 3)
-    before, seen = threading.active_count(), []
+    before, caller, runs = threading.active_count(), threading.current_thread(), {}
 
-    def kernel(lo, hi):
-        seen.append((lo, hi))
-        if lo == 2 * B:
-            raise RuntimeError(f"run {lo}:{hi}")
+    def kernel(block):
+        runs.setdefault(threading.current_thread(), []).append((block.start, block.stop))
+        if block.start == fail_at:
+            raise RuntimeError(f"block {block.start}:{block.stop}")
 
-    with pytest.raises(RuntimeError, match=f"run {2 * B}:{3 * B + 7}"):
-        fsq._fan_out(3 * B + 7, kernel)
-    assert sorted(seen) == [(0, 2 * B), (2 * B, 3 * B + 7)]  # whole blocks, ceil(4 / 3) a run
+    # 8 blocks on 3 workers: runs of ceil(8 / 3) whole blocks, each walked in order
+    fail_at = None
+    fsq._fan_out(7 * B + 1, kernel)
+    assert runs.pop(caller) == [(0, B), (B, 2 * B), (2 * B, 3 * B)]
+    assert sorted(runs.values()) == [[(3 * B, 4 * B), (4 * B, 5 * B), (5 * B, 6 * B)],
+                                     [(6 * B, 7 * B), (7 * B, 7 * B + 1)]]
     assert threading.active_count() == before
 
-    def sigmoid_off_the_caller(z, out=None):
+    # 4 blocks: 2 runs of 2; the second fails at its first block and walks no further
+    runs.clear()
+    fail_at = 2 * B
+    with pytest.raises(RuntimeError, match=f"^block {2 * B}:{3 * B}$"):
+        fsq._fan_out(3 * B + 7, kernel)
+    assert runs.pop(caller) == [(0, B), (B, 2 * B)]
+    assert list(runs.values()) == [[(2 * B, 3 * B)]]
+    assert threading.active_count() == before
+
+    def sigmoid_off_the_caller(z):
         if threading.current_thread() is caller:
-            return real_sigmoid(z, out)
+            return real_sigmoid(z)
         raise FloatingPointError("in a worker")
 
-    caller, real_sigmoid = threading.current_thread(), fsq._sigmoid
+    real_sigmoid = fsq._sigmoid
     monkeypatch.setattr(fsq, "_sigmoid", sigmoid_off_the_caller)
     with pytest.raises(FloatingPointError, match="in a worker"):
         fsq_quantize(np.zeros((2 * B, 3)), (8, 5, 5))
@@ -246,12 +267,14 @@ def test_many_runs_under_fast_thread_switching(monkeypatch):
     monkeypatch.setattr(fsq, "_WORKERS", 7)
     monkeypatch.setattr(fsq, "_BLOCK_ROWS", 16)  # 63 blocks of 1000 rows: 7 runs of 9 blocks
     levels = (8, 5, 5)
-    z, q, idx = _inputs(1000, levels)
+    z, q, _, idx = _inputs(1000, levels)
+    v = reference_dequantize(q, levels)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
             assert np.array_equal(fsq_quantize(z, levels), q)
+            assert np.array_equal(fsq_dequantize(q, levels), v)
             assert np.array_equal(fsq_encode_index(q, levels), idx)
             assert np.array_equal(fsq_decode_index(idx, levels), q)
     finally:

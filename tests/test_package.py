@@ -199,6 +199,8 @@ REALS = [
     ("CGridSpec.max_log10", "max_log10", "finite", lambda v: scamo_lab.CGridSpec(14.0, v, 2)),
     ("SynthSpec", "noise_sigma_log10", "non-negative",
      lambda v: scamo_lab.SynthSpec(PAPER_FITS, GRID, noise_sigma_log10=v)),
+    ("VqTrainParams.ema_decay", "ema_decay", "positive",
+     lambda v: scamo_lab.VqTrainParams(ema_decay=v)),
     ("VqTrainParams.reset_threshold", "reset_threshold", "non-negative",
      lambda v: scamo_lab.VqTrainParams(reset_threshold=v)),
     ("TokenProbRecord.model_logp", "model_logp", "non-positive",

@@ -1,6 +1,7 @@
 """Prefix masks and normalized sequence losses."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,16 @@ def test_normalized_loss_equals_ce_difference():
     model_mean = ce_loss(records)["mean_nats"]
     baseline_mean = -math.fsum(r.baseline_logp for r in records) / len(records)
     assert abs(normalized_loss(records) - (model_mean - baseline_mean)) < 1e-12
+
+
+@pytest.mark.parametrize("loss, sum_of", [
+    (ce_loss, "model_logp"),
+    (normalized_loss, "model_logp - baseline_logp"),
+])
+def test_a_sum_past_float_range_is_a_value_error(loss, sum_of):
+    records = [TokenProbRecord(-1e308, 0.0)] * 2
+    with pytest.raises(ValueError, match=f"^the sum of {re.escape(sum_of)} overflows$"):
+        loss(records)
 
 
 def test_normalized_loss_empty():

@@ -78,8 +78,10 @@ def test_train_params_validation():
     VqTrainParams()
     with pytest.raises(ValueError):
         VqTrainParams(ema_decay=0.0)
-    with pytest.raises(ValueError):
-        VqTrainParams(ema_decay=1.0)
+    for decay in (1.0, 1e300, np.float32(1.0)):  # the real-number rule leaves the upper bound
+        with pytest.raises(ValueError) as err:
+            VqTrainParams(ema_decay=decay)
+        assert str(err.value) == f"ema_decay must lie in (0, 1), got {decay!r}"
     with pytest.raises(ValueError):
         VqTrainParams(reset_threshold=-0.1)
     with pytest.raises(ValueError):
