@@ -83,10 +83,10 @@ def _shaped(name: str, array: np.ndarray, shape) -> np.ndarray:
     return array
 
 
-def _check_real_array(name: str, value, shape, kind: str = "finite") -> np.ndarray:
-    """The real-number rule for arrays: integer, float or object values (never bool, complex or
-    text, nor a ragged nesting) of the given shape as float64, every value finite, and also
-    positive, non-negative or non-positive by kind. A float64 array comes back as is, not copied."""
+def _real_array(name: str, value, shape) -> np.ndarray:
+    """The real-number rule's type and shape: integer, float or object values (never bool,
+    complex or text, nor a ragged nesting) of the given shape, as float64. A float64 array comes
+    back as is, not copied."""
     try:
         array = _as_array(value)
         if array.dtype.kind not in "iufO":  # bool, complex, text or dates
@@ -94,24 +94,31 @@ def _check_real_array(name: str, value, shape, kind: str = "finite") -> np.ndarr
         array = array.astype(np.float64, copy=False)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be real numbers") from None
-    _shaped(name, array, shape)
+    return _shaped(name, array, shape)
+
+
+def _check_real_block(name: str, block: np.ndarray, kind: str = "finite") -> None:
+    """The real-number rule's values on one non-empty block: every value finite, and also
+    positive, non-negative or non-positive by kind."""
     words, test = _REAL_KINDS[kind]
-    # a block's min and max judge it with no temporary: a NaN gives NaN for both, and an
-    # infinity shows in one; block by block, max reads what min left in cache
+    low, high = block.min(), block.max()  # no temporary: a NaN gives NaN, an infinity shows
+    if not (-math.inf < low and high < math.inf and test(low, high)):
+        raise ValueError(f"{name} must be {words}")
+
+
+def _check_real_array(name: str, value, shape, kind: str = "finite") -> np.ndarray:
+    """_real_array, then _check_real_block on each block of _BLOCK_ROWS rows."""
+    array = _real_array(name, value, shape)
     for lo in range(0, len(array), _BLOCK_ROWS):
-        block = array[lo:lo + _BLOCK_ROWS]
-        low, high = block.min(), block.max()
-        if not (-math.inf < low and high < math.inf and test(low, high)):
-            raise ValueError(f"{name} must be {words}")
+        _check_real_block(name, array[lo:lo + _BLOCK_ROWS], kind)
     return array
 
 
-def _check_int_array(name: str, value, shape, minimum: int, maximum=None) -> np.ndarray:
-    """The integer rule for arrays: an integer dtype (never bool or float) of the given shape,
-    every value in [minimum, maximum], as int64; an int64 array comes back as is, not copied.
-    maximum may be per channel, broadcast on the last axis. minimum is never negative, so a
-    uint64 past the int64 range, which wraps negative, is refused, and so are Python ints past
-    it, which numpy holds as objects, or as float64 beside a negative."""
+def _int_array(name: str, value, shape) -> np.ndarray:
+    """The integer rule's type and shape: an integer dtype (never bool or float) of the given
+    shape, as int64; an int64 array comes back as is, not copied. Python ints past the int64
+    range, which numpy holds as objects, or as float64 beside a negative, come back unconverted
+    for _int_rule to refuse; a uint64 past it wraps negative, below any minimum."""
     try:
         array = _as_array(value)
         integral = np.issubdtype(array.dtype, np.integer)
@@ -122,17 +129,31 @@ def _check_int_array(name: str, value, shape, minimum: int, maximum=None) -> np.
     if not integral and not wide:
         raise ValueError(f"{name} must be integers")
     array = _shaped(name, array, shape)
-    if not wide:
-        array = array.astype(np.int64, copy=False)
-    rows = array.reshape(-1, *np.shape(maximum))  # a view: rows of one value or of channels
-    # blocks, so no full-size temporary; the maximum as one whole block, made once: a block
-    # compares in one flat loop, not per row
-    blocks = (rows[i:i + _BLOCK_ROWS] for i in range(0, len(rows), _BLOCK_ROWS))
+    return array if wide else array.astype(np.int64, copy=False)
+
+
+def _int_rule(name: str, rows: np.ndarray, minimum: int, maximum=None):
+    """The integer rule's values, as a function that judges one non-empty block of at most
+    _BLOCK_ROWS of rows: rows of one value, or of channels for a maximum per channel. It refuses
+    a value outside [minimum, maximum] (minimum is never negative), and an unconverted block."""
+    # the maximum as one whole block, made once: a block compares in one flat loop, not per row
     top = None if maximum is None else np.broadcast_to(maximum, rows[:_BLOCK_ROWS].shape).copy()
-    if wide or not all(block.min() >= minimum and (top is None or (block <= top[:len(block)]).all())
-                       for block in blocks):
-        bounds = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
-        raise ValueError(f"{name} must be integers {bounds}")
+    def check(block: np.ndarray) -> None:
+        if block.dtype != np.int64 or block.min() < minimum or (
+                top is not None and not (block <= top[:len(block)]).all()):
+            bounds = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+            raise ValueError(f"{name} must be integers {bounds}")
+    return check
+
+
+def _check_int_array(name: str, value, shape, minimum: int, maximum=None) -> np.ndarray:
+    """_int_array, then _int_rule on each block; maximum may be per channel, broadcast on the
+    last axis."""
+    array = _int_array(name, value, shape)
+    rows = array.reshape(-1, *np.shape(maximum))  # a view: rows of one value or of channels
+    check = _int_rule(name, rows, minimum, maximum)
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        check(rows[lo:lo + _BLOCK_ROWS])
     return array
 
 

@@ -18,7 +18,8 @@ from typing import AbstractSet, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .flops import _BLOCK_ROWS, _INT64_MAX, _check_int, _check_int_array, _check_real_array
+from .flops import (_BLOCK_ROWS, _INT64_MAX, _check_int, _check_real_block, _int_array, _int_rule,
+                    _real_array)
 
 __all__ = [
     "FsqLevels",
@@ -128,25 +129,40 @@ def _fan_out(n: int, kernel) -> None:
         raise errors[0]
 
 
+def _spans(lv: FsqLevels, n: int) -> np.ndarray:
+    """levels - 1 tiled to a block of at most n rows: a block is scaled in one loop, not per row."""
+    return np.tile(np.asarray(lv.levels, dtype=np.float64) - 1.0, (min(n, _BLOCK_ROWS), 1))
+
+
+def _code(x: np.ndarray, spans: np.ndarray, c: np.ndarray) -> None:
+    """c = 1 + floor(x * span + 0.5) for a block of sigmoids x >= 0, which it overwrites."""
+    x *= spans[:len(x)]
+    x += 0.5
+    np.copyto(c, x, casting="unsafe")  # x >= 0.5, so the cast's truncation is its floor
+    c += 1
+
+
+def _value(c: np.ndarray, spans: np.ndarray, v: np.ndarray) -> None:
+    """v = (c - 1) / span for a block of codes c."""
+    np.subtract(c, 1, out=v, casting="unsafe")  # exact: codes are at most 2**52
+    v /= spans[:len(v)]
+
+
 def fsq_quantize(z, levels: FsqLevels | Sequence[int]) -> np.ndarray:
     """Quantize latents to 1-based codes: q_i = 1 + round(sigmoid(z_i) * (levels[i] - 1)).
 
     Rounding is half away from zero: the scaled sigmoid is never negative, so it is
-    floor(x + 0.5), taken exactly as a truncating cast. Returns int64 codes with the input
-    shape. Works _BLOCK_ROWS rows at a time.
+    floor(x + 0.5). Returns int64 codes with the input shape. Works _BLOCK_ROWS rows at a
+    time, each block's values checked as it is read.
     """
     lv = _levels_of(levels)
-    z = _check_real_array("latents", z, _rows(lv))
+    z = _real_array("latents", z, _rows(lv))
     out = np.empty_like(z, dtype=np.int64)  # in the latents' memory order, as a ufunc's output
     rows, codes = z.reshape(-1, lv.dimension), out.reshape(-1, lv.dimension)
-    # the spans tiled to a whole block, so the multiply is one flat loop, not one per row
-    spans = np.tile(np.asarray(lv.levels, dtype=np.float64) - 1.0, (min(len(rows), _BLOCK_ROWS), 1))
+    spans = _spans(lv, len(rows))
     def kernel(block: slice) -> None:
-        x, c = _sigmoid(rows[block]), codes[block]
-        x *= spans[:len(x)]
-        x += 0.5
-        np.copyto(c, x, casting="unsafe")  # x >= 0.5, so the cast's truncation is its floor
-        c += 1
+        _check_real_block("latents", rows[block])
+        _code(_sigmoid(rows[block]), spans, codes[block])
     _fan_out(len(rows), kernel)
     return out
 
@@ -154,14 +170,13 @@ def fsq_quantize(z, levels: FsqLevels | Sequence[int]) -> np.ndarray:
 def fsq_dequantize(q, levels: FsqLevels | Sequence[int]) -> np.ndarray:
     """Map codes to their level centers (q_i - 1) / (levels[i] - 1) in [0, 1]."""
     lv = _levels_of(levels)
-    q = _check_int_array("codes", q, _rows(lv), 1, lv.levels)
+    q = _int_array("codes", q, _rows(lv))
     out = np.empty_like(q, dtype=np.float64)  # in the codes' memory order, as a ufunc's output
     rows, values = q.reshape(-1, lv.dimension), out.reshape(-1, lv.dimension)
-    spans = np.asarray(lv.levels, dtype=np.float64) - 1.0
+    spans, check = _spans(lv, len(rows)), _int_rule("codes", rows, 1, lv.levels)
     def kernel(block: slice) -> None:
-        v = values[block]
-        np.subtract(rows[block], 1, out=v, casting="unsafe")  # exact: codes are at most 2**52
-        v /= spans
+        check(rows[block])
+        _value(rows[block], spans, values[block])
     _fan_out(len(rows), kernel)
     return out
 
@@ -175,11 +190,12 @@ def fsq_encode_index(q, levels: FsqLevels | Sequence[int]) -> int | np.ndarray:
     prod(levels), so none overflows int64.
     """
     lv = _levels_of(levels)
-    q = _check_int_array("codes", q, _rows(lv), 1, lv.levels)
+    q = _int_array("codes", q, _rows(lv))
     rows = q.reshape(-1, lv.dimension)
-    out = np.empty(len(rows), dtype=np.int64)
+    out, check = np.empty(len(rows), dtype=np.int64), _int_rule("codes", rows, 1, lv.levels)
     def kernel(block: slice) -> None:
         acc, c = out[block], rows[block]
+        check(c)
         np.subtract(c[:, -1], 1, out=acc)
         for i in range(lv.dimension - 2, -1, -1):
             acc *= lv.levels[i]
@@ -197,11 +213,12 @@ def fsq_decode_index(index, levels: FsqLevels | Sequence[int]) -> np.ndarray:
     is left to divide, and the value less quotient times level count is the channel's code.
     """
     lv = _levels_of(levels)
-    idx = _check_int_array("index", index, lambda ndim: () if ndim == 0 else (None,), 0,
-                           codebook_size(lv) - 1)
+    idx = _int_array("index", index, lambda ndim: () if ndim == 0 else (None,))
     out = np.empty(idx.shape + (lv.dimension,), dtype=np.int64)
     flat, codes = idx.reshape(-1), out.reshape(-1, lv.dimension)
+    check = _int_rule("index", flat, 0, codebook_size(lv) - 1)
     def kernel(block: slice) -> None:
+        check(flat[block])
         t, c = np.empty((lv.dimension, block.stop - block.start), dtype=np.int64), codes[block]
         np.copyto(t[0], flat[block])
         for i, level in enumerate(lv.levels[:-1]):
@@ -223,10 +240,20 @@ def fsq_ste_forward(z, levels: FsqLevels | Sequence[int]) -> SteForward:
 
     value is the dequantized code of z. The true jacobian of the rounding is
     zero almost everywhere, so the surrogate diagonal is the sigmoid
-    derivative sigmoid(z) * (1 - sigmoid(z)) per channel.
+    derivative sigmoid(z) * (1 - sigmoid(z)) per channel. One sigmoid per block
+    gives both, through quantize's and dequantize's block arithmetic.
     """
     lv = _levels_of(levels)
-    z = _check_real_array("latents", z, _rows(lv))
-    value = fsq_dequantize(fsq_quantize(z, lv), lv)
-    s = _sigmoid(z)
-    return SteForward(value=value, surrogate_jacobian_diag=s * (1.0 - s))
+    z = _real_array("latents", z, _rows(lv))
+    value, jac = np.empty_like(z), np.empty_like(z)  # in the latents' memory order
+    rows, values, jacs = (a.reshape(-1, lv.dimension) for a in (z, value, jac))
+    spans = _spans(lv, len(rows))
+    def kernel(block: slice) -> None:
+        _check_real_block("latents", rows[block])
+        s = _sigmoid(rows[block])
+        np.multiply(s, 1.0 - s, out=jacs[block])
+        c = np.empty(s.shape, dtype=np.int64)
+        _code(s, spans, c)
+        _value(c, spans, values[block])
+    _fan_out(len(rows), kernel)
+    return SteForward(value=value, surrogate_jacobian_diag=jac)

@@ -144,6 +144,15 @@ def pareto_frontier(
     if len(runs) == 0:
         raise ValueError("no runs")
     table = runs if isinstance(runs, RunTable) else RunTable(runs)
+    buckets, rows = _winners(table, bin_width_log10)
+    return [FrontierPoint(flops_bucket_log10=k * bin_width_log10, run=run, n_nv=float(run.n_nv()),
+                          n_v=float(run.n_v), d_tokens=float(run.tokens_trained),
+                          loss=run.normalized_loss)
+            for k, run in zip(buckets, map(table.__getitem__, rows))]
+
+
+def _winners(table: RunTable, bin_width_log10: float) -> tuple[list[float], list[int]]:
+    """Each occupied bucket's index k, ascending, and the table row of its winner."""
     # math.log10, not np.log10, which may differ in the last bit and move a run across an edge;
     # log10 and the division each round, so flops exactly on an edge k * bin_width can give a
     # quotient a few ULP short of k
@@ -159,53 +168,43 @@ def pareto_frontier(
     order = np.lexsort((table.normalized_loss, bucket))
     loss, bucket = table.normalized_loss[order], bucket[order]
     starts = np.flatnonzero(np.r_[True, bucket[1:] != bucket[:-1]]).tolist()
-    frontier = []
+    rows = []
     for start, end in zip(starts, [*starts[1:], len(order)]):
         tied = order[start:end][loss[start:end] == loss[start]].tolist()
         # ties break on the exact integer counts (12 * L * d**2 can pass int64), then run_id
-        run = min(map(table.__getitem__, tied), key=lambda r: (r.n_nv(), r.n_v, r.run_id))
-        frontier.append(
-            FrontierPoint(
-                flops_bucket_log10=float(bucket[start]) * bin_width_log10,
-                run=run,
-                n_nv=float(run.n_nv()),
-                n_v=float(run.n_v),
-                d_tokens=float(run.tokens_trained),
-                loss=run.normalized_loss,
-            )
-        )
-    return frontier
+        rows.append(min(tied, key=lambda i: ((r := table[i]).n_nv(), r.n_v, r.run_id)))
+    return bucket[starts].tolist(), rows
 
 
-@np.errstate(over="ignore", invalid="ignore")  # squares past float range reach r2 as inf or nan
-def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares line, returning (slope, intercept, r2).
-
-    Constant y short-circuits to a flat line with r2 = 1.0. At zero total
-    variance, r2 is 1.0 when residuals vanish and 0.0 otherwise.
-    """
-    if x.size < 2:
+# squares past float range reach r2 as inf or nan; a flat row's 0 / 0 slope is masked
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares line through each row of the (..., n) stacks x and y: (slope, intercept, r2)
+    arrays over the leading axes, 0-d for a 1-D pair. A row of constant y is a flat line with
+    r2 = 1.0, whatever its x; at zero total variance, r2 is 1.0 when residuals vanish and 0.0
+    otherwise. numpy sums a C-contiguous last axis pairwise, as it does a 1-D array, so each row
+    of a contiguous stack gives its 1-D bits."""
+    if x.shape[-1] < 2:
         raise ValueError("need at least 2 samples to fit")
-    if np.all(y == y[0]):
-        return 0.0, float(y[0]), 1.0
-    xm = x.mean()
-    ym = y.mean()
-    sxx = float(((x - xm) ** 2).sum())
-    if sxx == 0.0:
+    flat = (y == y[..., :1]).all(axis=-1)
+    xm, ym = x.mean(axis=-1, keepdims=True), y.mean(axis=-1, keepdims=True)
+    dx = x - xm
+    sxx = (dx**2).sum(axis=-1)
+    if (~flat & (sxx == 0.0)).any():
         raise ValueError("x values must not all be equal")
-    slope = float(((x - xm) * (y - ym)).sum()) / sxx
-    intercept = ym - slope * xm
-    ss_res = float(((y - (slope * x + intercept)) ** 2).sum())
-    ss_tot = float(((y - ym) ** 2).sum())
-    r2 = 1.0 if ss_res == 0.0 else (0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot)
-    return float(slope), float(intercept), float(r2)
+    slope = (dx * (y - ym)).sum(axis=-1) / sxx
+    intercept = ym[..., 0] - slope * xm[..., 0]
+    ss_res = ((y - (slope[..., None] * x + intercept[..., None])) ** 2).sum(axis=-1)
+    ss_tot = ((y - ym) ** 2).sum(axis=-1)
+    r2 = np.where(ss_res == 0.0, 1.0, np.where(ss_tot == 0.0, 0.0, 1.0 - ss_res / ss_tot))
+    return np.where(flat, 0.0, slope), np.where(flat, y[..., 0], intercept), np.where(flat, 1.0, r2)
 
 
 def fit_power_law(xs, ys) -> PowerLawFit:
     """OLS fit of log10(y) on log10(x); exponent is the slope."""
     xs = _check_real_array("xs", xs, (None,), "positive")
     ys = _check_real_array("ys", ys, xs.shape, "positive")
-    slope, intercept, r2 = _ols(np.log10(xs), np.log10(ys))
+    slope, intercept, r2 = map(float, _ols(np.log10(xs), np.log10(ys)))
     return PowerLawFit(log10_coef=intercept, exponent=slope, r2=r2)
 
 
@@ -213,27 +212,28 @@ def fit_log_law(cs, losses) -> LogLawFit:
     """OLS fit of loss on log10(c); losses may be negative."""
     cs = _check_real_array("cs", cs, (None,), "positive")
     losses = _check_real_array("losses", losses, cs.shape)
-    slope, intercept, r2 = _ols(np.log10(cs), losses)
+    slope, intercept, r2 = map(float, _ols(np.log10(cs), losses))
     return LogLawFit(slope=slope, intercept=intercept, r2=r2)
 
 
 def fit_all(frontier: Sequence[FrontierPoint]) -> ScalingFits:
-    """All five laws from a frontier of at least two points.
+    """All five laws from a frontier of at least two points, in one least-squares call.
 
     The x variable for the *_vs_c fits is each winning run's own flops value,
     not the bucket edge.
     """
     if len(frontier) < 2:
         raise ValueError("need at least 2 frontier points")
-    flops = np.array([p.run.flops for p in frontier], dtype=np.float64)
-    n_v = np.array([p.n_v for p in frontier], dtype=np.float64)
-    n_nv = np.array([p.n_nv for p in frontier], dtype=np.float64)
-    d_tokens = np.array([p.d_tokens for p in frontier], dtype=np.float64)
-    loss = np.array([p.loss for p in frontier], dtype=np.float64)
-    return ScalingFits(
-        nv_vs_c=fit_power_law(flops, n_v),
-        nnv_vs_c=fit_power_law(flops, n_nv),
-        d_vs_c=fit_power_law(flops, d_tokens),
-        nv_vs_nnv=fit_power_law(n_nv, n_v),
-        loss_vs_c=fit_log_law(flops, loss),
-    )
+    # the columns flops, n_v, n_nv, d_tokens and loss as contiguous rows, and each law's x and y
+    # rows in law order: nv_vs_c, nnv_vs_c, d_vs_c, nv_vs_nnv, loss_vs_c
+    cols = np.array([(p.run.flops, p.n_v, p.n_nv, p.d_tokens, p.loss) for p in frontier],
+                    dtype=np.float64).T.copy()
+    xs, ys = [0, 0, 0, 2, 0], [1, 2, 3, 1, 4]
+    if not (np.isfinite(cols).all() and (cols[:4] > 0).all()):
+        # a bad value: the fits in law order raise the first law's error, which may be an
+        # earlier law's equal x
+        for fit, x, y in zip([fit_power_law] * 4 + [fit_log_law], cols[xs], cols[ys]):
+            fit(x, y)
+    logs = np.log10(cols[:4])
+    *power, log = np.transpose(_ols(logs[xs], np.vstack([logs[ys[:4]], cols[4:]]))).tolist()
+    return ScalingFits(*(PowerLawFit(b, m, r2) for m, b, r2 in power), LogLawFit(*log))

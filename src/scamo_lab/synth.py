@@ -26,7 +26,7 @@ __all__ = [
 
 # n_nv of one layer of width 1 at ff_ratio 4; L such layers have L times it
 _PARAM_GRANULE = params_non_embedding(ModelConfig(1, 1, 1, 1, 1))
-_PARAM_REL_TOL = 0.2  # largest relative miss between a drawn n_nv and its run's shape
+_PARAM_REL_TOL = 0.2  # largest relative miss between a drawn n_nv, n_v or d_tokens and its count
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,9 @@ def synth_runs(spec: SynthSpec) -> RunTable:
     uniform loss offset of at least 0.01, so frontier extraction always
     selects the law point. Every run is one layer wide, with the n_layers
     whose 12 * n_layers is nearest its drawn n_nv: fit fixtures, not plausible
-    models. An overflowing budget or draw, or an n_nv 20% off every such shape,
-    fails its check; the first row to break a run rule fails with its error.
+    models. An overflowing budget or draw, an n_nv 20% off every such shape, or an n_v or
+    d_tokens 20% off every positive integer, fails its check; the first row to break a run rule
+    fails with its error.
     """
     laws, sigma = spec.laws, spec.noise_sigma_log10
     grid, per_budget = spec.c_grid_log10.values_log10(), spec.runs_per_budget
@@ -107,11 +108,12 @@ def synth_runs(spec: SynthSpec) -> RunTable:
         s = (0.0 + sigma * z).ravel().tolist()
         p = np.fromiter(map(np.float64(10.0).__pow__, s), np.float64, len(s))
         # the per-row rules on arrays: laws and pows are >= 0, inf or nan, so the int64 bound
-        # refuses a nan or inf value and n_layers >= 1 a zero n_nv
+        # refuses a nan or inf value, and a count of at least 1 a zero draw
         n_v, n_nv, d_tokens = p.reshape(z.shape).T * np.array([[n_v_law], [n_nv_law], [d_law]])
-        shape = np.floor(np.array([n_nv / _PARAM_GRANULE, n_v, d_tokens]) + 0.5)
-        ok = ((shape[0] >= 1) & (abs(_PARAM_GRANULE * shape[0] - n_nv) <= _PARAM_REL_TOL * n_nv)
-              & (shape.max(axis=0) < 2.0**63) & np.isfinite(loss))
+        drawn, granule = np.array([n_nv, n_v, d_tokens]), np.array([[_PARAM_GRANULE], [1], [1]])
+        shape = np.floor(drawn / granule + 0.5)
+        ok = ((shape.min(axis=0) >= 1) & (abs(granule * shape - drawn) <= _PARAM_REL_TOL * drawn)
+              .all(axis=0) & (shape.max(axis=0) < 2.0**63) & np.isfinite(loss))
         if not ok.all():  # the first flagged row breaks a rule: word the first, in the rules' order
             k = int(np.argmin(ok))
             _check_real("n_v", float(n_v[k]), "non-negative")
@@ -122,10 +124,14 @@ def synth_runs(spec: SynthSpec) -> RunTable:
                     f"target {target} is below the smallest valid config ({_PARAM_GRANULE} params)")
             if abs(_PARAM_GRANULE * shape[0, k] - target) > _PARAM_REL_TOL * target:
                 raise ValueError(f"no config within {_PARAM_REL_TOL:.0%} of target {target}")
-            n_layers, vocab, tokens = (max(1, int(v)) for v in shape[:, k].tolist())
+            for name, value, count in zip(("n_v", "d_tokens"), drawn[1:, k], shape[1:, k]):
+                if count < 1 or abs(count - value) > _PARAM_REL_TOL * value:
+                    raise ValueError(f"{name} {float(value)} at budget 10**{float(x)} is more than "
+                                     f"{_PARAM_REL_TOL:.0%} from every positive integer")
+            n_layers, vocab, tokens = map(int, shape[:, k].tolist())
             RunRecord(run_id[budget.start + k], n_layers, 1, 1, 1024, vocab, tokens, c,
                       float(loss[k]))  # words the int64 bound and the loss
-        counts[budget] = np.maximum(shape, 1).T
+        counts[budget] = shape.T
         flops[budget], losses[budget] = c, loss
     # n_heads = d_model = 1 and n_ctx = 1024 for every run: read-only views of one value each
     one, n_ctx = (np.broadcast_to(np.int64(value), len(run_id)) for value in (1, 1024))

@@ -929,6 +929,18 @@ def test_synth_budget_overflow_is_one_error_line(invoke):
         assert err == f"error: budget 10**{low}.0 must be positive and finite, got {value}\n"
 
 
+def test_synth_of_a_law_below_one_vocab_entry_is_one_error_line(invoke, tmp_path):
+    """An n_v law under 0.5 was written as vocab_size 1 on every run, and fit then read n_v as
+    a constant 1 (exponent 0, r2 1); now the first budget's n_v is refused."""
+    laws = FITS_PRESETS["scamo-paper"].to_json_dict()
+    laws["nv_vs_c"]["log10_coef"] = -16
+    (tmp_path / "laws.json").write_text(json.dumps(laws))
+    code, out, err = invoke(["synth", "--laws", str(tmp_path / "laws.json"), "--grid-points", "9"])
+    assert (code, out) == (1, "")
+    assert err == ("error: n_v 3.7583740428844396e-06 at budget 10**14.1 is more than 20% from "
+                   "every positive integer\n")
+
+
 
 def test_outputs_end_with_newline(invoke):
     for argv, stdin in [

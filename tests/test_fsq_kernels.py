@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from scamo_lab import (codebook_size, fsq, fsq_decode_index, fsq_dequantize, fsq_encode_index,
-                       fsq_quantize)
+from scamo_lab import (SteForward, codebook_size, fsq, fsq_decode_index, fsq_dequantize,
+                       fsq_encode_index, fsq_quantize, fsq_ste_forward)
 from scamo_lab.flops import _check_int_array, _check_real_array
 from scamo_lab.fsq import _BLOCK_ROWS, _MAX_LEVEL, _levels_of, _rows
 
@@ -40,6 +40,16 @@ def reference_dequantize(q, levels):
     lv = _levels_of(levels)
     q = _check_int_array("codes", q, _rows(lv), 1, lv.levels)
     return (q - 1) / (np.asarray(lv.levels, dtype=np.float64) - 1.0)
+
+
+def reference_ste(z, levels):
+    """fsq_ste_forward as the composition it was: quantize, dequantize, and a second sigmoid."""
+    lv = _levels_of(levels)
+    z = _check_real_array("latents", z, _rows(lv))
+    with np.errstate(over="ignore"):
+        sigmoid = 1.0 / (1.0 + np.exp(-z))
+    return SteForward(reference_dequantize(reference_quantize(z, levels), levels),
+                      sigmoid * (1.0 - sigmoid))
 
 
 def reference_encode(q, levels):
@@ -291,3 +301,56 @@ def test_quantize_keeps_its_errstate_on_every_thread(monkeypatch):
         warnings.simplefilter("error")
         got = fsq_quantize(z, levels)
     assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# each kernel judges its own block's values, on the thread that reads the block
+
+
+@pytest.mark.parametrize("workers", range(1, 8))
+def test_a_bad_value_in_a_worker_runs_last_block_gives_the_reference_error(monkeypatch, workers):
+    monkeypatch.setattr(fsq, "_WORKERS", workers)
+    raised, check_block, int_rule = [], fsq._check_real_block, fsq._int_rule
+
+    def noted(check):
+        def judged(*args):
+            try:
+                check(*args)
+            except ValueError:
+                raised.append(threading.current_thread())
+                raise
+        return judged
+
+    monkeypatch.setattr(fsq, "_check_real_block", noted(check_block))
+    monkeypatch.setattr(fsq, "_int_rule", lambda *args: noted(int_rule(*args)))
+    levels = (8, 5, 5)
+    z, q, _, idx = _inputs(3 * B + 7, levels)  # 4 blocks: the last is a worker's from 2 workers
+    z[-1, 1], q = np.nan, q.copy()
+    q[-1, 0] = 9
+    idx = np.r_[idx[:-1], codebook_size(levels)]
+    for (kernel, reference), value in zip([*KERNELS, (fsq_ste_forward, reference_ste)],
+                                          [z, q, q, idx, z]):
+        raised.clear()
+        assert _same(kernel, reference, value, levels) is None, kernel.__name__
+        assert raised == [threading.current_thread()] if workers == 1 else (
+            len(raised) == 1 and raised[0] is not threading.current_thread())
+
+
+@pytest.mark.parametrize("rows", [None, 1, B - 1, B + 1, 3 * B + 7])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_ste_forward_is_its_composition_from_one_sigmoid(monkeypatch, rows, layout):
+    levels = (8, 8, 8, 5, 5, 5)
+    z = _inputs(rows, levels, seed=3)[0]
+    z.reshape(-1)[:6] = [800.0, -800.0, 0.0, 1e30, -1e-30, 40.0]  # each within float32's range
+    seen, sigmoid = [], fsq._sigmoid
+    monkeypatch.setattr(fsq, "_sigmoid", lambda x: (seen.append(x.size), sigmoid(x))[1])
+    for workers in (1, 3):
+        monkeypatch.setattr(fsq, "_WORKERS", workers)
+        seen.clear()
+        value = _layout(z, layout)
+        got, want = fsq_ste_forward(value, levels), reference_ste(value, levels)
+        assert sum(seen) == z.size  # one sigmoid of each latent
+        for a, b in zip(got, want):
+            assert (a.dtype, a.shape, a.flags.c_contiguous, a.flags.f_contiguous) == (
+                b.dtype, b.shape, b.flags.c_contiguous, b.flags.f_contiguous)
+            assert a.tobytes() == b.tobytes()

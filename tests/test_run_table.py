@@ -84,6 +84,15 @@ def reference_width_1_layers(n_nv):
     return n_layers
 
 
+def reference_count(name, value, x):
+    """The positive integer nearest a drawn n_v or d_tokens at budget 10**x, within 20%."""
+    count = int(math.floor(value + 0.5))
+    if count < 1 or abs(count - value) > 0.2 * value:
+        raise ValueError(f"{name} {value} at budget 10**{x} is more than 20% from every positive "
+                         "integer")
+    return count
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def reference_synth_runs(spec):
     records = []
@@ -107,8 +116,9 @@ def reference_synth_runs(spec):
                 loss = loss_opt + rng.uniform(0.01, 0.5)
             records.append(RunRecord(
                 run_id=f"synth-{i:03d}-{j:02d}", n_layers=reference_width_1_layers(n_nv),
-                n_heads=1, d_model=1, n_ctx=1024, vocab_size=max(1, int(math.floor(n_v + 0.5))),
-                tokens_trained=max(1, int(math.floor(d_tokens + 0.5))),
+                n_heads=1, d_model=1, n_ctx=1024,
+                vocab_size=reference_count("n_v", n_v, float(x)),
+                tokens_trained=reference_count("d_tokens", d_tokens, float(x)),
                 flops=c, normalized_loss=float(loss)))
     return records
 
@@ -351,8 +361,9 @@ SYNTH_SPECS = {
     # row 0 passes every rule, row 1 breaks the int64 bound and row 2's pow overflows: the
     # error is row 1's, though the budget holds a value past float range
     "pass, int64, overflow": SynthSpec(
-        ScalingFits(PowerLawFit(-300.0, 0.0), PowerLawFit(15.0, 0.0), PowerLawFit(-300.0, 0.0),
-                    PAPER.nv_vs_nnv, LogLawFit(0.0, 1.0)), CGridSpec(15.0, 15.0, 1), 6, 150.0, 25),
+        ScalingFits(PowerLawFit(75.0, 0.0), PowerLawFit(200.0, 0.0), PowerLawFit(165.0, 0.0),
+                    PAPER.nv_vs_nnv, LogLawFit(0.0, 1.0)),
+        CGridSpec(15.0, 15.0, 1), 6, 150.0, 10779),
 }
 
 
@@ -380,9 +391,9 @@ def test_synth_runs_words_the_first_failing_row_of_a_budget():
     assert outcome(synth_runs, SYNTH_SPECS["vocab at 2**63"])[1][1] == (
         "vocab_size must be an integer in [1, 9223372036854775807], got 9223372036854775808")
     assert outcome(synth_runs, SYNTH_SPECS["pass, int64, overflow"])[1][1] == (
-        "n_layers must be an integer in [1, 9223372036854775807], got 10620410472493657463285199"
-        "68780880971855643158636732617330399534013350844057843745047796801658227115653709610548"
-        "083977723335439376582269436626594022031360")
+        "n_layers must be an integer in [1, 9223372036854775807], got 6442319949410122645634653"
+        "14004851262640815654075499044670438784533335642992060753191449338025536388439713710541"
+        "93306545016358514434310905664275311032264863650781576327894900202513290269110998925312")
 
 
 # ---------------------------------------------------------------------------

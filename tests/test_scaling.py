@@ -1,20 +1,36 @@
 """Frontier extraction and law fitting."""
 
+import contextlib
+import dataclasses
+import io
 import math
+import re
+import sys
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scamo_lab import (
+    FITS_PRESETS,
+    CGridSpec,
+    FrontierPoint,
     LogLawFit,
     PowerLawFit,
     RunRecord,
+    RunTable,
     ScalingFits,
+    SynthSpec,
     fit_all,
     fit_log_law,
     fit_power_law,
+    load_runs,
     pareto_frontier,
+    scaling,
+    synth_runs,
 )
+from scamo_lab.cli import _run_lines, run
 
 
 def run_at(run_id, flops, loss, d_model=8, tokens=1000):
@@ -246,3 +262,189 @@ def test_fits_json_rejects_non_number_coefficients(bad):
     doc["nv_vs_nnv"] = {**doc["nv_vs_nnv"], "exponent": bad}
     with pytest.raises(ValueError, match=r"^nv_vs_nnv\.exponent must be a number"):
         ScalingFits.from_json_dict(doc)
+
+
+# ---------------------------------------------------------------------------
+# one least-squares core over stacks of rows
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_ols(x, y):
+    """_ols as it was before it took stacks: one 1-D pair, returning Python floats."""
+    if x.size < 2:
+        raise ValueError("need at least 2 samples to fit")
+    if np.all(y == y[0]):
+        return 0.0, float(y[0]), 1.0
+    xm = x.mean()
+    ym = y.mean()
+    sxx = float(((x - xm) ** 2).sum())
+    if sxx == 0.0:
+        raise ValueError("x values must not all be equal")
+    slope = float(((x - xm) * (y - ym)).sum()) / sxx
+    intercept = ym - slope * xm
+    ss_res = float(((y - (slope * x + intercept)) ** 2).sum())
+    ss_tot = float(((y - ym) ** 2).sum())
+    r2 = 1.0 if ss_res == 0.0 else (0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot)
+    return float(slope), float(intercept), float(r2)
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _outcome(fit, *args):
+    """fit's result, or the text of its ValueError."""
+    try:
+        return fit(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def ols_stacks(draw):
+    """A (B, n) stack of x and y rows, B up to 64, with flat, equal-x and wide-range rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b, n = draw(st.integers(1, 64)), draw(st.sampled_from([2, 3, 9, 41, 200]))
+    x = rng.uniform(-5.0, 25.0, (b, n))
+    y = rng.normal(0.0, 3.0, (b, n)) + rng.normal(0.7, 0.5, (b, 1)) * x
+    for row in draw(st.lists(st.integers(0, b - 1), max_size=4)):
+        y[row] = y[row, 0]  # a flat line, whatever its x
+    for row in draw(st.lists(st.integers(0, b - 1), max_size=2)):
+        x[row] = x[row, 0]  # equal x: an error unless y is flat too
+    if draw(st.booleans()):
+        y[rng.integers(b)] *= 1e160  # squares past float range: an r2 of nan
+    return x, y
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(ols_stacks())
+def test_each_row_of_a_batched_ols_is_the_one_row_call(stack):
+    x, y = stack
+    rows = [_outcome(reference_ols, x[i], y[i]) for i in range(len(x))]
+    for i, row in enumerate(rows):
+        one = _outcome(scaling._ols, x[i], y[i])
+        assert one == row if isinstance(row, str) else _bits(one) == _bits(row)
+    errors = [row for row in rows if isinstance(row, str)]
+    shapes = [x.shape] + [(2, len(x) // 2, x.shape[1])] * (len(x) % 2 == 0)  # one or two axes
+    for shape in shapes:
+        got = _outcome(scaling._ols, x.reshape(shape), y.reshape(shape))
+        if errors:
+            assert got == errors[0]
+            continue
+        slope, intercept, r2 = (v.reshape(-1) for v in got)
+        assert [_bits(row) for row in rows] == [_bits(v) for v in zip(slope, intercept, r2)]
+
+
+SWEEP_FRONTIER = pareto_frontier(synth_runs(SynthSpec(  # 41 points
+    FITS_PRESETS["scamo-paper"], CGridSpec(14.1, 18.1, 100), 20, 0.05, 1)), bin_width_log10=0.1)
+
+
+def _law_stacks(cols):
+    """Each law's x and y rows from (5, ..., n) columns flops, n_v, n_nv, d_tokens and loss, the
+    way fit_all stacks them: contiguous along n, in law order."""
+    logs = np.log10(cols[:4])
+    return logs[[0, 0, 0, 2, 0]], np.concatenate([logs[[1, 2, 3, 1]], cols[4:]])
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 2**32 - 1))
+def test_a_batched_bootstrap_row_is_fit_all_on_its_resample(b, seed):
+    frontier = SWEEP_FRONTIER
+    cols = np.array([(p.run.flops, p.n_v, p.n_nv, p.d_tokens, p.loss) for p in frontier]).T
+    idx = np.random.default_rng(seed).integers(0, len(frontier), (b, len(frontier)))
+    slope, intercept, r2 = scaling._ols(*_law_stacks(np.ascontiguousarray(cols[:, idx])))
+    for i in range(b):
+        fits = fit_all([frontier[j] for j in idx[i]])
+        for law, (m, c, r) in enumerate(zip(slope[:, i], intercept[:, i], r2[:, i])):
+            got = dataclasses.astuple(getattr(fits, dataclasses.fields(fits)[law].name))
+            want = (c, m, r) if law < 4 else (m, c, r)  # log10_coef, exponent; slope, intercept
+            assert _bits(got) == _bits(want)
+
+
+def test_fit_all_is_one_least_squares_call(monkeypatch):
+    calls, real = [], scaling._ols
+    monkeypatch.setattr(scaling, "_ols", lambda x, y: (calls.append(x.shape), real(x, y))[1])
+    fit_all(SWEEP_FRONTIER)
+    assert calls == [(5, 41)]
+
+
+def _points(flops, n_v, n_nv, d_tokens, loss):
+    """Frontier points from columns; only run.flops is read from a point's run."""
+    return [FrontierPoint(0.0, types.SimpleNamespace(flops=f), b, a, d, l)
+            for f, a, b, d, l in zip(flops, n_v, n_nv, d_tokens, loss)]
+
+
+GOOD, SAME = [1e15, 1e16, 1e17], [5.0, 5.0, 5.0]
+
+
+@pytest.mark.parametrize("columns, message", [
+    # laws in order nv_vs_c, nnv_vs_c, d_vs_c, nv_vs_nnv, loss_vs_c; each checks x, y, then fits
+    ((GOOD, GOOD, GOOD, GOOD, GOOD), None),
+    ((SAME, GOOD, GOOD, GOOD, SAME), "x values must not all be equal"),
+    ((SAME, SAME, SAME, SAME, SAME), None),  # five flat lines, whatever their x
+    ((SAME, GOOD, [-1.0, 2.0, 3.0], GOOD, GOOD), "x values must not all be equal"),  # law 1 first
+    ((GOOD, GOOD, [-1.0, 2.0, 3.0], GOOD, GOOD), "ys must be positive and finite"),
+    ((GOOD, GOOD, SAME, [0.0, 1.0, 2.0], GOOD), "ys must be positive and finite"),
+    ((GOOD, GOOD, SAME, GOOD, [1.0, math.nan, 2.0]), "x values must not all be equal"),  # law 4
+    ((GOOD, GOOD, GOOD, GOOD, [1.0, math.inf, 2.0]), "losses must be finite"),
+    (([0.0, 1.0, 2.0], [-1.0, 1.0, 2.0], GOOD, GOOD, GOOD), "xs must be positive and finite"),
+    ((GOOD, [1.0, math.nan, 2.0], SAME, GOOD, GOOD), "ys must be positive and finite"),
+])
+def test_fit_all_words_the_first_failing_law_in_law_order(columns, message):
+    points = _points(*columns)
+    if message is None:
+        fits = fit_all(points)
+        flops, n_v, n_nv, d_tokens, loss = (np.array(c) for c in columns)
+        assert fits == ScalingFits(fit_power_law(flops, n_v), fit_power_law(flops, n_nv),
+                                   fit_power_law(flops, d_tokens), fit_power_law(n_nv, n_v),
+                                   fit_log_law(flops, loss))
+        return
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fit_all(points)
+
+
+# ---------------------------------------------------------------------------
+# properties of the frontier and the fits, through the CLI's bytes
+
+
+def _cli(argv, stdin):
+    """The stdout of a successful in-process command."""
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, types.SimpleNamespace(buffer=io.BytesIO(stdin.encode()))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    finally:
+        sys.stdin = saved
+    assert (code, err.getvalue()) == (0, "")
+    return out.getvalue()
+
+
+def _frontier_and_fit(lines, bin_width):
+    return [_cli([cmd, "--bin-width", bin_width], "".join(lines)) for cmd in ("frontier", "fit")]
+
+
+SWEEP_LINES = "".join(_run_lines(synth_runs(SynthSpec(
+    FITS_PRESETS["scamo-paper"], CGridSpec(14.1, 16.1, 9), 4, 0.05, 7)))).splitlines(True)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(st.permutations(SWEEP_LINES), st.sampled_from(["0.1", "0.25", "0.5"]))
+def test_run_order_leaves_frontier_and_fit_bytes_alone(lines, bin_width):
+    assert _frontier_and_fit(lines, bin_width) == _frontier_and_fit(SWEEP_LINES, bin_width)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_a_dominated_run_leaves_frontier_and_fit_bytes_alone(data):
+    bin_width = data.draw(st.sampled_from(["0.1", "0.25", "0.5"]))
+    table = load_runs("".join(SWEEP_LINES))
+    winner = data.draw(st.sampled_from(pareto_frontier(table, float(bin_width)))).run
+    above = max(math.nextafter(winner.normalized_loss, math.inf),
+                winner.normalized_loss + data.draw(st.floats(0.0, 1.0)))
+    extra = RunRecord("extra", data.draw(st.integers(1, 10**6)), 1, 1, 1024,
+                      data.draw(st.integers(1, 10**6)), data.draw(st.integers(1, 10**9)),
+                      winner.flops, above)  # the winner's bucket, with fewer params if drawn so
+    lines = list(SWEEP_LINES)
+    lines.insert(data.draw(st.integers(0, len(lines))), "".join(_run_lines(RunTable([extra]))))
+    assert _frontier_and_fit(lines, bin_width) == _frontier_and_fit(SWEEP_LINES, bin_width)

@@ -64,8 +64,11 @@ def test_spec_validation():
 
 
 def width_1_runs(nnv_law, grid_log10):
-    """One noiseless run at one budget, with n_nv set by nnv_law alone."""
-    laws = dataclasses.replace(LAWS, nnv_vs_c=nnv_law)
+    """One noiseless run at one budget, with n_nv set by nnv_law alone; n_v and d_tokens are
+    1e3 and 1e6 at every budget, so neither fails its own rule (at c = 10 the preset's n_v is
+    below 1)."""
+    laws = dataclasses.replace(LAWS, nnv_vs_c=nnv_law, nv_vs_c=PowerLawFit(3.0, 0.0),
+                               d_vs_c=PowerLawFit(6.0, 0.0))
     return synth_runs(make_spec(laws=laws, c_grid_log10=CGridSpec(grid_log10, grid_log10, 1),
                                 runs_per_budget=1))
 
@@ -93,6 +96,27 @@ def test_synth_runs_width_1_rule_errors():
     ]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             width_1_runs(nnv_law, 14.0)
+
+
+@pytest.mark.parametrize("law", ["nv_vs_c", "d_vs_c"])
+def test_synth_runs_count_rule(law):
+    """n_v and d_tokens take n_nv's rule: the nearest positive integer, within 20%."""
+    name = {"nv_vs_c": "n_v", "d_vs_c": "d_tokens"}[law]
+    column = {"nv_vs_c": "vocab_size", "d_vs_c": "tokens_trained"}[law]
+
+    def runs(coef):  # the law's value is 10**coef at both budgets
+        laws = dataclasses.replace(LAWS, **{law: PowerLawFit(coef, 0.0)})
+        return synth_runs(make_spec(laws=laws, c_grid_log10=CGridSpec(15.0, 16.0, 2),
+                                    runs_per_budget=1))
+
+    for value, count in [(0.9, 1), (1.2, 1), (1.7, 2), (2.4, 2), (2.6, 3), (1e6, 1000000)]:
+        assert getattr(runs(math.log10(value)), column).tolist() == [count, count]
+    for coef in [-400.0, -300.0, math.log10(0.4), math.log10(0.6), math.log10(1.3),
+                 math.log10(1.6)]:
+        message = (f"{name} {10.0**coef} at budget 10**15.0 is more than 20% from every "
+                   "positive integer")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            runs(coef)
 
 
 def test_synth_runs_shape_and_ids():
