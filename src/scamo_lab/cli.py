@@ -29,22 +29,9 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .core import (RUN_FIELDS, _CHUNK_ROWS, _REAL_FIELDS, RunTable, load_runs,
-                   codebook_metrics, CodeUsageHistogram)
-from .flops import ModelConfig, flops_per_token_exact
-from .fsq import (
-    LEVEL_PRESETS,
-    FsqLevels,
-    fsq_decode_index,
-    fsq_dequantize,
-    fsq_encode_index,
-    fsq_quantize,
-)
-from .planner import FITS_PRESETS, REFERENCE_PRESETS, consistency_report, plan_budget
-from .scaling import ScalingFits, fit_all, pareto_frontier
-from .seqmodel import TokenProbRecord, ce_loss, normalized_loss
-from .synth import CGridSpec, SynthSpec, synth_runs
-from .vq import VqCodebook, vq_assign
+# what every run-log handler needs; each handler imports the rest of what it runs, so that a
+# command loads only its own modules
+from .core import RUN_FIELDS, _CHUNK_ROWS, _REAL_FIELDS, RunTable, load_runs
 
 __all__ = ["run", "main", "dumps", "dumps_line"]
 
@@ -117,6 +104,8 @@ def _text(stream) -> str:
 
 
 def _parse_levels(args) -> FsqLevels:
+    from .fsq import LEVEL_PRESETS, FsqLevels
+
     if args.preset is not None:
         if args.preset not in LEVEL_PRESETS:
             known = ", ".join(LEVEL_PRESETS)
@@ -130,6 +119,9 @@ def _parse_levels(args) -> FsqLevels:
 
 
 def _resolve_fits(spec: str) -> ScalingFits:
+    from .planner import FITS_PRESETS
+    from .scaling import ScalingFits
+
     if spec in FITS_PRESETS:
         return FITS_PRESETS[spec]
     if not os.path.exists(spec):
@@ -180,24 +172,31 @@ def _document(obj) -> tuple[str]:
 
 
 def _cmd_flops(args) -> Iterable[str]:
+    from .flops import ModelConfig, flops_per_token_exact
+
     cfg = ModelConfig(args.layers, args.heads, args.d_model, args.ctx, args.vocab, args.ff_ratio)
     return _document(dataclasses.asdict(flops_per_token_exact(cfg)))
 
 
-_FSQ_ACTIONS = {"quantize": fsq_quantize, "dequantize": fsq_dequantize,
-                "encode": fsq_encode_index, "decode": fsq_decode_index}
+_FSQ_ACTIONS = {"quantize": "fsq_quantize", "dequantize": "fsq_dequantize",
+                "encode": "fsq_encode_index", "decode": "fsq_decode_index"}  # names in fsq
 
 
 def _cmd_fsq(args) -> Iterable[str]:
+    from . import fsq
+
     lv = _parse_levels(args)
     try:
         data = json.loads(_read(args.infile, _text))
     except json.JSONDecodeError as exc:
         raise ValueError(f"input is not valid JSON: {exc}")
-    return _document(_FSQ_ACTIONS[args.action](data, lv))
+    return _document(getattr(fsq, _FSQ_ACTIONS[args.action])(data, lv))
 
 
 def _cmd_vq(args) -> Iterable[str]:
+    from .core import CodeUsageHistogram, codebook_metrics
+    from .vq import VqCodebook, vq_assign
+
     latents = _load_csv_matrix(args.latents, "latents")
     entries = _load_csv_matrix(args.codebook, "codebook")
     if latents.shape[1] != entries.shape[1]:
@@ -212,6 +211,8 @@ def _cmd_vq(args) -> Iterable[str]:
 
 
 def _cmd_normloss(args) -> Iterable[str]:
+    from .seqmodel import TokenProbRecord, ce_loss, normalized_loss
+
     # csv ends rows at \n, \r\n or \r; errors name the input line a row ends on
     reader = csv.reader(io.StringIO(_read(args.infile, _text), newline=""))
     try:
@@ -253,6 +254,8 @@ def _cmd_ingest(args) -> Iterable[str]:
 
 
 def _frontier_rows(args) -> list:
+    from .scaling import pareto_frontier
+
     runs = _read(args.runs, load_runs)
     return pareto_frontier(runs, bin_width_log10=args.bin_width)
 
@@ -282,10 +285,14 @@ def _cmd_frontier(args) -> Iterable[str]:
 
 
 def _cmd_fit(args) -> Iterable[str]:
+    from .scaling import fit_all
+
     return _document(fit_all(_frontier_rows(args)).to_json_dict())
 
 
 def _cmd_plan(args) -> Iterable[str]:
+    from .planner import REFERENCE_PRESETS, consistency_report, plan_budget
+
     fits = _resolve_fits(args.fits)
     plan = plan_budget(args.flops, fits, args.d_model, rescale_d=args.rescale_d)
     doc = plan.to_json_dict()
@@ -296,6 +303,8 @@ def _cmd_plan(args) -> Iterable[str]:
 
 
 def _cmd_synth(args) -> Iterable[str]:
+    from .synth import CGridSpec, SynthSpec, synth_runs
+
     spec = SynthSpec(
         laws=_resolve_fits(args.laws),
         c_grid_log10=CGridSpec(args.grid_min, args.grid_max, args.grid_points),

@@ -136,11 +136,16 @@ def _int_rule(name: str, rows: np.ndarray, minimum: int, maximum=None):
     """The integer rule's values, as a function that judges one non-empty block of at most
     _BLOCK_ROWS of rows: rows of one value, or of channels for a maximum per channel. It refuses
     a value outside [minimum, maximum] (minimum is never negative), and an unconverted block."""
-    # the maximum as one whole block, made once: a block compares in one flat loop, not per row
-    top = None if maximum is None else np.broadcast_to(maximum, rows[:_BLOCK_ROWS].shape).copy()
+    if np.ndim(maximum) == 0:  # no maximum, or one: the block's largest value against it
+        def below_top(block: np.ndarray) -> bool:
+            return maximum is None or block.max() <= maximum
+    else:  # per channel: the maxima as one whole block, made once, so a block compares in one
+        # flat loop, not per row
+        top = np.broadcast_to(maximum, rows[:_BLOCK_ROWS].shape).copy()
+        def below_top(block: np.ndarray) -> bool:
+            return (block <= top[:len(block)]).all()
     def check(block: np.ndarray) -> None:
-        if block.dtype != np.int64 or block.min() < minimum or (
-                top is not None and not (block <= top[:len(block)]).all()):
+        if block.dtype != np.int64 or block.min() < minimum or not below_top(block):
             bounds = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
             raise ValueError(f"{name} must be integers {bounds}")
     return check

@@ -230,10 +230,13 @@ def fit_all(frontier: Sequence[FrontierPoint]) -> ScalingFits:
                     dtype=np.float64).T.copy()
     xs, ys = [0, 0, 0, 2, 0], [1, 2, 3, 1, 4]
     if not (np.isfinite(cols).all() and (cols[:4] > 0).all()):
-        # a bad value: the fits in law order raise the first law's error, which may be an
-        # earlier law's equal x
-        for fit, x, y in zip([fit_power_law] * 4 + [fit_log_law], cols[xs], cols[ys]):
-            fit(x, y)
+        # a bad value: the laws in order check their x and y columns by name, then fit, so the
+        # first failing law's error is raised, which may be an earlier law's equal x
+        names = ("flops", "n_v", "n_nv", "d_tokens", "loss")
+        for fit, x, y in zip([fit_power_law] * 4 + [fit_log_law], xs, ys):
+            for i in (x, y):
+                _check_real_array(names[i], cols[i], (None,), "finite" if i == 4 else "positive")
+            fit(cols[x], cols[y])
     logs = np.log10(cols[:4])
     *power, log = np.transpose(_ols(logs[xs], np.vstack([logs[ys[:4]], cols[4:]]))).tolist()
     return ScalingFits(*(PowerLawFit(b, m, r2) for m, b, r2 in power), LogLawFit(*log))

@@ -95,9 +95,71 @@ def test_every_private_module_name_is_reached():
     assert unreached == []
 
 
+def _fresh(code: str, *args: str):
+    """The value of the last line a new Python process running code prints."""
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                         check=True, timeout=120).stdout
+    return ast.literal_eval(out.splitlines()[-1])
+
+
 def test_import_leaves_scipy_out():
-    code = "import sys, scamo_lab; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    """import scamo_lab runs the package file only: no submodule, no numpy and no scipy."""
+    code = ("import sys, scamo_lab; print(sorted(m for m in sys.modules"
+            " if m.partition('.')[0] in ('numpy', 'scipy', 'scamo_lab')))")
+    assert _fresh(code) == ["scamo_lab"]
+
+
+# python -m scamo_lab, printing at exit the scamo_lab modules it loaded
+RUN_MODULE = ("import atexit, runpy, sys; atexit.register(lambda: print(sorted(m for m in"
+              " sys.modules if m.partition('.')[0] == 'scamo_lab'))); sys.argv[0] = 'scamo-lab';"
+              " runpy.run_module('scamo_lab', run_name='__main__', alter_sys=True)")
+RUN_LOG_MODULES = ["scamo_lab", "scamo_lab.cli", "scamo_lab.core", "scamo_lab.flops"]
+
+
+@pytest.mark.parametrize("command, more", [("ingest", []), ("fit", ["scamo_lab.scaling"])])
+def test_a_subcommand_loads_only_its_modules(tmp_path, command, more):
+    from scamo_lab.cli import run
+
+    log = tmp_path / "runs.jsonl"
+    assert run(["synth", "--grid-points", "3", "--out", str(log)]) == 0
+    assert _fresh(RUN_MODULE, command, "--runs", str(log)) == sorted(RUN_LOG_MODULES + more)
+
+
+def test_star_import_and_dir_give_the_exports():
+    star = "ns = {}; exec('from scamo_lab import *', ns); print(sorted(set(ns) - {'__builtins__'}))"
+    assert _fresh(star) == sorted(EXPORTS)
+    assert EXPORTS <= set(_fresh("import scamo_lab; print(dir(scamo_lab))"))
+
+
+def test_an_unknown_name_is_pythons_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'scamo_lab' has no attribute 'x'$"):
+        scamo_lab.x
+    assert not hasattr(scamo_lab, "x")
+
+
+def test_a_name_loaded_on_first_use_shows_in_importtime():
+    code = "import scamo_lab; scamo_lab.vq_assign"
+    stderr = subprocess.run([sys.executable, "-X", "importtime", "-c", code], capture_output=True,
+                            text=True, check=True, timeout=120).stderr
+    assert "| scamo_lab.vq" in stderr
+
+
+def test_threads_resolving_a_name_at_once_get_one_object():
+    code = """if True:
+        import sys, threading, scamo_lab
+        sys.setswitchinterval(1e-6)
+        barrier, got = threading.Barrier(2), []
+        def resolve():
+            barrier.wait()
+            got.append(scamo_lab.vq_assign)
+        threads = [threading.Thread(target=resolve) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        from scamo_lab.vq import vq_assign
+        print([f is vq_assign for f in got])"""
+    assert _fresh(code) == [True, True]
 
 
 SHAPE = dict(n_layers=2, n_heads=2, d_model=8, n_ctx=16)

@@ -383,12 +383,12 @@ GOOD, SAME = [1e15, 1e16, 1e17], [5.0, 5.0, 5.0]
     ((SAME, GOOD, GOOD, GOOD, SAME), "x values must not all be equal"),
     ((SAME, SAME, SAME, SAME, SAME), None),  # five flat lines, whatever their x
     ((SAME, GOOD, [-1.0, 2.0, 3.0], GOOD, GOOD), "x values must not all be equal"),  # law 1 first
-    ((GOOD, GOOD, [-1.0, 2.0, 3.0], GOOD, GOOD), "ys must be positive and finite"),
-    ((GOOD, GOOD, SAME, [0.0, 1.0, 2.0], GOOD), "ys must be positive and finite"),
+    ((GOOD, GOOD, [-1.0, 2.0, 3.0], GOOD, GOOD), "n_nv must be positive and finite"),
+    ((GOOD, GOOD, SAME, [0.0, 1.0, 2.0], GOOD), "d_tokens must be positive and finite"),
     ((GOOD, GOOD, SAME, GOOD, [1.0, math.nan, 2.0]), "x values must not all be equal"),  # law 4
-    ((GOOD, GOOD, GOOD, GOOD, [1.0, math.inf, 2.0]), "losses must be finite"),
-    (([0.0, 1.0, 2.0], [-1.0, 1.0, 2.0], GOOD, GOOD, GOOD), "xs must be positive and finite"),
-    ((GOOD, [1.0, math.nan, 2.0], SAME, GOOD, GOOD), "ys must be positive and finite"),
+    ((GOOD, GOOD, GOOD, GOOD, [1.0, math.inf, 2.0]), "loss must be finite"),
+    (([0.0, 1.0, 2.0], [-1.0, 1.0, 2.0], GOOD, GOOD, GOOD), "flops must be positive and finite"),
+    ((GOOD, [1.0, math.nan, 2.0], SAME, GOOD, GOOD), "n_v must be positive and finite"),
 ])
 def test_fit_all_words_the_first_failing_law_in_law_order(columns, message):
     points = _points(*columns)
