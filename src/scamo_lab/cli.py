@@ -219,8 +219,11 @@ def _cmd_normloss(args) -> Iterable[str]:
         rows = [(reader.line_num, row) for row in reader if row]
     except csv.Error as exc:
         raise ValueError(f"line {reader.line_num}: input is not valid CSV: {exc}")
-    if rows and any(_not_float(cell) for cell in rows[0][1]):
-        rows = rows[1:]  # header row
+    if rows:
+        try:
+            list(map(float, rows[0][1]))
+        except ValueError:
+            rows = rows[1:]  # header row: a cell that is not a number
     records = []
     for lineno, row in rows:
         if len(row) != 2:
@@ -239,14 +242,6 @@ def _cmd_normloss(args) -> Iterable[str]:
             "normalized_loss": normalized_loss(records),
         }
     )
-
-
-def _not_float(cell: str) -> bool:
-    try:
-        float(cell)
-        return False
-    except ValueError:
-        return True
 
 
 def _cmd_ingest(args) -> Iterable[str]:

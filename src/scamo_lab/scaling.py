@@ -24,8 +24,6 @@ __all__ = [
     "ScalingFits",
     "FrontierPoint",
     "pareto_frontier",
-    "fit_power_law",
-    "fit_log_law",
     "fit_all",
 ]
 
@@ -200,43 +198,20 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return np.where(flat, 0.0, slope), np.where(flat, y[..., 0], intercept), np.where(flat, 1.0, r2)
 
 
-def fit_power_law(xs, ys) -> PowerLawFit:
-    """OLS fit of log10(y) on log10(x); exponent is the slope."""
-    xs = _check_real_array("xs", xs, (None,), "positive")
-    ys = _check_real_array("ys", ys, xs.shape, "positive")
-    slope, intercept, r2 = map(float, _ols(np.log10(xs), np.log10(ys)))
-    return PowerLawFit(log10_coef=intercept, exponent=slope, r2=r2)
-
-
-def fit_log_law(cs, losses) -> LogLawFit:
-    """OLS fit of loss on log10(c); losses may be negative."""
-    cs = _check_real_array("cs", cs, (None,), "positive")
-    losses = _check_real_array("losses", losses, cs.shape)
-    slope, intercept, r2 = map(float, _ols(np.log10(cs), losses))
-    return LogLawFit(slope=slope, intercept=intercept, r2=r2)
-
-
 def fit_all(frontier: Sequence[FrontierPoint]) -> ScalingFits:
     """All five laws from a frontier of at least two points, in one least-squares call.
 
     The x variable for the *_vs_c fits is each winning run's own flops value,
-    not the bucket edge.
+    not the bucket edge. Each column is checked once, in column order, before the fit.
     """
     if len(frontier) < 2:
         raise ValueError("need at least 2 frontier points")
-    # the columns flops, n_v, n_nv, d_tokens and loss as contiguous rows, and each law's x and y
-    # rows in law order: nv_vs_c, nnv_vs_c, d_vs_c, nv_vs_nnv, loss_vs_c
     cols = np.array([(p.run.flops, p.n_v, p.n_nv, p.d_tokens, p.loss) for p in frontier],
-                    dtype=np.float64).T.copy()
-    xs, ys = [0, 0, 0, 2, 0], [1, 2, 3, 1, 4]
-    if not (np.isfinite(cols).all() and (cols[:4] > 0).all()):
-        # a bad value: the laws in order check their x and y columns by name, then fit, so the
-        # first failing law's error is raised, which may be an earlier law's equal x
-        names = ("flops", "n_v", "n_nv", "d_tokens", "loss")
-        for fit, x, y in zip([fit_power_law] * 4 + [fit_log_law], xs, ys):
-            for i in (x, y):
-                _check_real_array(names[i], cols[i], (None,), "finite" if i == 4 else "positive")
-            fit(cols[x], cols[y])
+                    dtype=np.float64).T.copy()  # contiguous rows, so each law's bits are 1-D's
+    for name, col in zip(("flops", "n_v", "n_nv", "d_tokens", "loss"), cols):
+        _check_real_array(name, col, (None,), "finite" if name == "loss" else "positive")
+    # each law's x and y rows in law order: nv_vs_c, nnv_vs_c, d_vs_c, nv_vs_nnv, loss_vs_c
     logs = np.log10(cols[:4])
-    *power, log = np.transpose(_ols(logs[xs], np.vstack([logs[ys[:4]], cols[4:]]))).tolist()
+    *power, log = np.transpose(_ols(logs[[0, 0, 0, 2, 0]],
+                                    np.vstack([logs[[1, 2, 3, 1]], cols[4:]]))).tolist()
     return ScalingFits(*(PowerLawFit(b, m, r2) for m, b, r2 in power), LogLawFit(*log))

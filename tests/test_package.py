@@ -27,8 +27,7 @@ EXPORTS = {
     "BudgetPlan", "VocabForModel", "nearest_power_of_two", "plan_budget",
     "consistency_report", "vocab_for_model",
     # scaling
-    "PowerLawFit", "LogLawFit", "ScalingFits", "FrontierPoint", "pareto_frontier",
-    "fit_power_law", "fit_log_law", "fit_all",
+    "PowerLawFit", "LogLawFit", "ScalingFits", "FrontierPoint", "pareto_frontier", "fit_all",
     # seqmodel
     "PrefixMask", "TokenProbRecord", "build_prefix_mask", "ce_loss", "normalized_loss",
     # synth
@@ -322,14 +321,6 @@ ARRAYS = [
      lambda v: scamo_lab.vq_ema_update(v, CODEBOOK, PARAMS)),
     ("vq_reset", "batch", "finite", "(n, 2)", np.zeros((4, 2)),
      lambda v: scamo_lab.vq_reset(CODEBOOK, v, PARAMS)),
-    ("fit_power_law.xs", "xs", "positive", "(n,)", np.ones(3),
-     lambda v: scamo_lab.fit_power_law(v, np.ones(3))),
-    ("fit_power_law.ys", "ys", "positive", "(3,)", np.ones(3),
-     lambda v: scamo_lab.fit_power_law([1.0, 2.0, 3.0], v)),
-    ("fit_log_law.cs", "cs", "positive", "(n,)", np.ones(3),
-     lambda v: scamo_lab.fit_log_law(v, np.ones(3))),
-    ("fit_log_law.losses", "losses", "finite", "(3,)", np.ones(3),
-     lambda v: scamo_lab.fit_log_law([1.0, 2.0, 3.0], v)),
     ("synth_latents", "means", "finite", "(n, 2)", np.zeros((3, 2)),
      lambda v: scamo_lab.synth_latents("gaussian_mixture", 4, 2, means=v)),
     ("fsq_dequantize", "codes", "in [1, (8, 5)]", "(n, 2)", np.ones((3, 2), dtype=np.int64),

@@ -4,13 +4,16 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scamo_lab import (
     CONSISTENCY_TOLERANCE_LOG10,
     FITS_PRESETS,
     REFERENCE_PRESETS,
+    LogLawFit,
     PowerLawFit,
     ReferenceSelection,
+    ScalingFits,
     consistency_report,
     nearest_power_of_two,
     plan_budget,
@@ -129,6 +132,44 @@ def test_plan_rescale_d_restores_identity():
     assert plan.d_tokens == pytest.approx(raw.d_tokens / 10**raw.constraint_residual_log10)
     assert plan.vocab_size == raw.vocab_size  # vocab untouched by the rescale
     assert plan.predicted_loss == raw.predicted_loss
+
+
+def law_sets(coef, exponent):
+    """Five laws: each power law's log10_coef in [-coef, coef] and exponent in [-exponent,
+    exponent], and a loss law of slope in [-3, 3] and intercept in [-30, 30]."""
+    power = st.builds(PowerLawFit, st.floats(-coef, coef), st.floats(-exponent, exponent))
+    loss = st.builds(LogLawFit, st.floats(-3.0, 3.0), st.floats(-30.0, 30.0))
+    return st.builds(ScalingFits, power, power, power, power, loss)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(law_sets(30.0, 2.0), st.floats(0.0, 40.0), st.integers(1, 4096))
+def test_a_plan_is_the_laws_point(laws, log10_c, d_model):
+    """Every law value here lies in 10**[-110, 110], so each quantity of the compute identity is
+    a normal float: the plan's counts are allocation(c) bit for bit, and rescale_d divides
+    d_tokens by 10**residual, leaving a residual within 1e-12."""
+    c = 10.0**log10_c
+    raw, rescaled = (plan_budget(c, laws, d_model, rescale_d) for rescale_d in (False, True))
+    assert (raw.n_v, raw.n_nv, raw.d_tokens) == laws.allocation(c)
+    assert raw.predicted_loss == laws.loss_vs_c.evaluate(c)
+    assert (rescaled.n_v, rescaled.n_nv) == (raw.n_v, raw.n_nv)
+    assert rescaled.d_tokens == raw.d_tokens / 10.0**raw.constraint_residual_log10
+    assert abs(rescaled.constraint_residual_log10) <= 1e-12
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(law_sets(150.0, 5.0), st.floats(-60.0, 60.0), st.integers(1, 4096), st.booleans())
+def test_a_plan_past_float_range_is_refused_or_the_laws_point(laws, log10_c, d_model, rescale_d):
+    """Law values may leave float range here, or their product may: the plan is then refused with
+    a ValueError, never another exception, and a plan that is made keeps the laws' n_v and n_nv."""
+    c = 10.0**log10_c
+    try:
+        plan = plan_budget(c, laws, d_model, rescale_d)
+    except ValueError:
+        return
+    n_v, n_nv, d_tokens = laws.allocation(c)
+    assert (plan.n_v, plan.n_nv) == (n_v, n_nv)
+    assert rescale_d or plan.d_tokens == d_tokens
 
 
 def test_plan_json_keys_in_order():

@@ -23,8 +23,6 @@ from scamo_lab import (
     ScalingFits,
     SynthSpec,
     fit_all,
-    fit_log_law,
-    fit_power_law,
     load_runs,
     pareto_frontier,
     scaling,
@@ -116,56 +114,66 @@ def test_frontier_validation():
         pareto_frontier([run_at("a", 1e15, 0.1)], bin_width_log10=0.0)
 
 
+def _points(flops, n_v, n_nv, d_tokens, loss):
+    """Frontier points from columns; only run.flops is read from a point's run."""
+    return [FrontierPoint(0.0, types.SimpleNamespace(flops=f), b, a, d, l)
+            for f, a, b, d, l in zip(flops, n_v, n_nv, d_tokens, loss)]
+
+
+def _fit(flops, n_v=None, loss=None):
+    """fit_all over hand-built points: n_nv = flops**0.5 and d_tokens = flops**0.3, with n_v and
+    loss exact laws of flops unless given."""
+    flops = np.asarray(flops, dtype=np.float64)
+    n_v = 10**-5.29 * flops**0.75 if n_v is None else n_v
+    loss = -1.062 * np.log10(flops) + 13.839 if loss is None else loss
+    return fit_all(_points(flops, n_v, flops**0.5, flops**0.3, loss))
+
+
 def test_fit_power_law_exact():
-    xs = np.logspace(10, 20, 8)
-    ys = 10**-5.29 * xs**0.75
-    fit = fit_power_law(xs, ys)
+    fit = _fit(np.logspace(10, 20, 8)).nv_vs_c
     assert fit.exponent == pytest.approx(0.75, abs=1e-12)
     assert fit.log10_coef == pytest.approx(-5.29, abs=1e-10)
     assert fit.r2 == 1.0
 
 
 def test_fit_log_law_exact():
-    cs = np.logspace(14, 18, 6)
-    losses = -1.062 * np.log10(cs) + 13.839
-    fit = fit_log_law(cs, losses)
+    fit = _fit(np.logspace(14, 18, 6)).loss_vs_c
     assert fit.slope == pytest.approx(-1.062, abs=1e-12)
     assert fit.intercept == pytest.approx(13.839, abs=1e-10)
     assert fit.r2 == 1.0
 
 
 def test_fit_log_law_allows_negative_losses():
-    fit = fit_log_law([1e16, 1e18], [-3.0, -5.0])
+    fit = _fit([1e16, 1e18], loss=[-3.0, -5.0]).loss_vs_c
     assert fit.slope == pytest.approx(-1.0)
 
 
 def test_fit_constant_y():
-    fit = fit_log_law([1e14, 1e15, 1e16], [2.5, 2.5, 2.5])
-    assert fit.slope == 0.0 and fit.intercept == 2.5 and fit.r2 == 1.0
+    fits = _fit([1e14, 1e15, 1e16], n_v=[1e3, 1e3, 1e3], loss=[2.5, 2.5, 2.5])
+    assert dataclasses.astuple(fits.loss_vs_c) == (0.0, 2.5, 1.0)
+    assert dataclasses.astuple(fits.nv_vs_c) == (3.0, 0.0, 1.0)  # log10_coef, exponent, r2
+    assert dataclasses.astuple(fits.nv_vs_nnv) == (3.0, 0.0, 1.0)
 
 
 def test_fit_noisy_r2_below_one():
     rng = np.random.default_rng(6)
-    xs = np.logspace(10, 20, 50)
-    ys = 10**2.0 * xs**0.5 * np.exp(rng.normal(0, 0.05, size=50))
-    fit = fit_power_law(xs, ys)
+    flops = np.logspace(10, 20, 50)
+    fit = _fit(flops, n_v=10**2.0 * flops**0.5 * np.exp(rng.normal(0, 0.05, size=50))).nv_vs_c
     assert 0.9 < fit.r2 < 1.0
     assert fit.exponent == pytest.approx(0.5, abs=0.05)
 
 
 def test_fit_validation():
-    with pytest.raises(ValueError, match="at least 2"):
-        fit_power_law([1.0], [1.0])
-    with pytest.raises(ValueError, match="positive"):
-        fit_power_law([1.0, -2.0], [1.0, 2.0])
-    with pytest.raises(ValueError, match="^ys must be positive and finite$"):
-        fit_power_law([1.0, 2.0], [1.0, -2.0])
-    with pytest.raises(ValueError, match="shape"):
-        fit_power_law([1.0, 2.0], [1.0])
-    with pytest.raises(ValueError, match="finite"):
-        fit_log_law([1.0, 2.0], [1.0, float("nan")])
-    with pytest.raises(ValueError, match="not all be equal"):
-        fit_log_law([10.0, 10.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="^need at least 2 frontier points$"):
+        _fit([1e15])
+    with pytest.raises(ValueError, match="^flops must be positive and finite$"):
+        fit_all(_points([1.0, -2.0], *[[1.0, 2.0]] * 4))
+    with pytest.raises(ValueError, match="^n_v must be positive and finite$"):
+        _fit([1.0, 2.0], n_v=[1.0, -2.0])
+    with pytest.raises(ValueError, match="^loss must be finite$"):
+        _fit([1.0, 2.0], loss=[1.0, float("nan")])
+    with pytest.raises(ValueError, match="^x values must not all be equal$"):
+        _fit([10.0, 10.0], n_v=[1.0, 2.0])
 
 
 def test_fit_all_uses_run_flops():
@@ -368,39 +376,65 @@ def test_fit_all_is_one_least_squares_call(monkeypatch):
     assert calls == [(5, 41)]
 
 
-def _points(flops, n_v, n_nv, d_tokens, loss):
-    """Frontier points from columns; only run.flops is read from a point's run."""
-    return [FrontierPoint(0.0, types.SimpleNamespace(flops=f), b, a, d, l)
-            for f, a, b, d, l in zip(flops, n_v, n_nv, d_tokens, loss)]
-
-
 GOOD, SAME = [1e15, 1e16, 1e17], [5.0, 5.0, 5.0]
 
 
 @pytest.mark.parametrize("columns, message", [
-    # laws in order nv_vs_c, nnv_vs_c, d_vs_c, nv_vs_nnv, loss_vs_c; each checks x, y, then fits
+    # columns flops, n_v, n_nv, d_tokens and loss are checked in that order, then the five laws
+    # are fit at once, and a non-flat law with equal x values fails the fit
     ((GOOD, GOOD, GOOD, GOOD, GOOD), None),
     ((SAME, GOOD, GOOD, GOOD, SAME), "x values must not all be equal"),
     ((SAME, SAME, SAME, SAME, SAME), None),  # five flat lines, whatever their x
-    ((SAME, GOOD, [-1.0, 2.0, 3.0], GOOD, GOOD), "x values must not all be equal"),  # law 1 first
+    ((SAME, GOOD, [-1.0, 2.0, 3.0], GOOD, GOOD), "n_nv must be positive and finite"),
     ((GOOD, GOOD, [-1.0, 2.0, 3.0], GOOD, GOOD), "n_nv must be positive and finite"),
     ((GOOD, GOOD, SAME, [0.0, 1.0, 2.0], GOOD), "d_tokens must be positive and finite"),
-    ((GOOD, GOOD, SAME, GOOD, [1.0, math.nan, 2.0]), "x values must not all be equal"),  # law 4
+    ((GOOD, GOOD, SAME, GOOD, [1.0, math.nan, 2.0]), "loss must be finite"),
     ((GOOD, GOOD, GOOD, GOOD, [1.0, math.inf, 2.0]), "loss must be finite"),
     (([0.0, 1.0, 2.0], [-1.0, 1.0, 2.0], GOOD, GOOD, GOOD), "flops must be positive and finite"),
     ((GOOD, [1.0, math.nan, 2.0], SAME, GOOD, GOOD), "n_v must be positive and finite"),
 ])
-def test_fit_all_words_the_first_failing_law_in_law_order(columns, message):
+def test_fit_all_checks_its_columns_before_the_fit(columns, message, monkeypatch):
+    calls, real = [], scaling._ols
+    monkeypatch.setattr(scaling, "_ols", lambda x, y: (calls.append(x.shape), real(x, y))[1])
     points = _points(*columns)
     if message is None:
         fits = fit_all(points)
-        flops, n_v, n_nv, d_tokens, loss = (np.array(c) for c in columns)
-        assert fits == ScalingFits(fit_power_law(flops, n_v), fit_power_law(flops, n_nv),
-                                   fit_power_law(flops, d_tokens), fit_power_law(n_nv, n_v),
-                                   fit_log_law(flops, loss))
+        x, y = _law_stacks(np.array(columns))
+        laws = [dataclasses.astuple(getattr(fits, f.name)) for f in dataclasses.fields(fits)]
+        got = [(m, c, r) for c, m, r in laws[:4]] + laws[4:]  # slope, intercept, r2 in each
+        assert [_bits(law) for law in got] == [_bits(reference_ols(*xy)) for xy in zip(x, y)]
         return
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         fit_all(points)
+    assert calls == ([] if message.endswith("finite") else [(5, 3)])
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_a_compute_shift_moves_buckets_and_coefficients_alone(data):
+    """Multiplying every flops by 10**(k * w) moves each bucket by k, each *_vs_c log10_coef by
+    -exponent * k * w and the loss intercept by -slope * k * w, within 1e-9, and leaves the
+    winners and nv_vs_nnv as they were. Budgets sit mid-bucket, so no rounding crosses an edge."""
+    w = data.draw(st.sampled_from([0.1, 0.25, 0.5]))
+    k, n = data.draw(st.integers(-40, 40)), data.draw(st.integers(3, 9))
+    step = data.draw(st.integers(1, int(4 / ((n - 1) * w)))) * w  # budgets over at most 4 decades
+    lo = (data.draw(st.integers(int(14 / w), int(15 / w))) + 0.5) * w
+    table = synth_runs(SynthSpec(FITS_PRESETS["scamo-paper"], CGridSpec(lo, lo + step * (n - 1), n),
+                                 4, 0.05, data.draw(st.integers(0, 2**32 - 1))))
+    shifted = RunTable([dataclasses.replace(r, flops=r.flops * 10.0 ** (k * w)) for r in table])
+    before, after = pareto_frontier(table, w), pareto_frontier(shifted, w)
+    assert [p.run.run_id for p in after] == [p.run.run_id for p in before]
+    assert ([round(p.flops_bucket_log10 / w) for p in after]
+            == [round(p.flops_bucket_log10 / w) + k for p in before])
+    old, new = fit_all(before), fit_all(after)
+    for law in ("nv_vs_c", "nnv_vs_c", "d_vs_c"):
+        was, now = getattr(old, law), getattr(new, law)
+        assert now.exponent == pytest.approx(was.exponent, abs=1e-9)
+        assert now.log10_coef == pytest.approx(was.log10_coef - was.exponent * k * w, abs=1e-9)
+    assert new.loss_vs_c.slope == pytest.approx(old.loss_vs_c.slope, abs=1e-9)
+    assert new.loss_vs_c.intercept == pytest.approx(
+        old.loss_vs_c.intercept - old.loss_vs_c.slope * k * w, abs=1e-9)
+    assert new.nv_vs_nnv == old.nv_vs_nnv
 
 
 # ---------------------------------------------------------------------------

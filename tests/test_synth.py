@@ -7,13 +7,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scamo_lab import (
     FITS_PRESETS,
     LEVEL_PRESETS,
     CGridSpec,
     FsqLevels,
+    LogLawFit,
     PowerLawFit,
+    ScalingFits,
     SynthSpec,
     fit_all,
     fsq_quantize,
@@ -209,6 +212,45 @@ def test_noisy_fit_recovery_small():
     fits = fit_all(pareto_frontier(synth_runs(spec), bin_width_log10=0.2))
     assert fits.nnv_vs_c.exponent == pytest.approx(0.57, abs=0.05)
     assert fits.loss_vs_c.slope == pytest.approx(-1.062, abs=0.05)
+
+
+@st.composite
+def noiseless_sweeps(draw):
+    """A sweep at sigma 0: 3 to 12 budgets from 10**[12, 16] over 2 to 6 decades, so budgets are
+    at least 2/11 of a decade apart, and each *_vs_c law drawn by its exponent in [0.2, 1] and its
+    log10 value in [0, 6] at the smallest budget. synth reads no other law but the loss law."""
+    lo, span, n = draw(st.floats(12.0, 16.0)), draw(st.floats(2.0, 6.0)), draw(st.integers(3, 12))
+
+    def law():
+        exponent, at_lo = draw(st.floats(0.2, 1.0)), draw(st.floats(0.0, 6.0))
+        return PowerLawFit(at_lo - exponent * lo, exponent)
+
+    laws = ScalingFits(law(), law(), law(), PowerLawFit(0.0, 1.0),
+                       LogLawFit(draw(st.floats(-2.0, 0.0)), draw(st.floats(0.0, 40.0))))
+    return SynthSpec(laws, CGridSpec(lo, lo + span, n), 3, 0.0)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(noiseless_sweeps())
+def test_a_noiseless_sweep_is_refused_or_recovered(spec):
+    """Rounding a law value v to its count m moves log10 v by at most eps(m) = log10(2m / (2m - 1)),
+    so the OLS exponent over the frontier's x = log10(flops) moves by at most
+    eps(m) * sum|x - mean x| / sum (x - mean x)**2, with m the law's smallest count."""
+    try:
+        runs = synth_runs(spec)
+    except ValueError:
+        return  # an overflowing count, or a law value 20% off every count
+    frontier = pareto_frontier(runs, bin_width_log10=0.1)  # one bucket per budget
+    assert len(frontier) == spec.c_grid_log10.n_points
+    fits = fit_all(frontier)
+    x = np.log10([p.run.flops for p in frontier])
+    gain = np.abs(x - x.mean()).sum() / ((x - x.mean()) ** 2).sum()
+    for law, count in [("nv_vs_c", "vocab_size"), ("nnv_vs_c", "n_layers"),
+                       ("d_vs_c", "tokens_trained")]:
+        m = min(getattr(p.run, count) for p in frontier)
+        error = getattr(fits, law).exponent - getattr(spec.laws, law).exponent
+        assert abs(error) <= gain * math.log10(2 * m / (2 * m - 1)) + 1e-9, law
+    assert fits.loss_vs_c.slope == pytest.approx(spec.laws.loss_vs_c.slope, abs=1e-9)
 
 
 def test_uniform_code_latents_cover_codebook():
