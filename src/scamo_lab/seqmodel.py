@@ -49,9 +49,8 @@ def build_prefix_mask(t_text: int, t_motion: int) -> PrefixMask:
     total = t_text + t_motion
     if total == 0:
         raise ValueError("empty sequence: t_text + t_motion must be positive")
-    allowed = np.zeros((total, total), dtype=bool)
-    allowed[:, :t_text] = True
-    allowed[t_text:, t_text:] = np.tri(t_motion, dtype=bool)
+    allowed = np.tri(total, dtype=bool)  # motion rows: all text, causal motion
+    allowed[:t_text, :t_text] = True
     return PrefixMask(t_text=t_text, t_motion=t_motion, allowed=allowed)
 
 

@@ -27,7 +27,8 @@ __all__ = [
 ]
 
 _EMA_EPS = 1e-8
-_BLOCK_ROWS = 256  # a (256, K=1024) float64 shortlist block is 2 MB
+_BLOCK_ROWS = 256  # a (256, K=1024) float32 shortlist block is 1 MB
+_F32 = np.finfo(np.float32)
 
 
 @dataclass
@@ -84,41 +85,54 @@ class VqAssignment(NamedTuple):
     entry: np.ndarray
 
 
-@np.errstate(over="ignore", invalid="ignore")  # rows whose norms overflow keep every entry
+@np.errstate(over="ignore", invalid="ignore")  # rows near float32's max keep every entry
 def vq_assign(batch, codebook: VqCodebook) -> np.ndarray:
     """Nearest entry for each row of an (n, d) batch; ties pick the lowest index.
 
-    Exact: BLAS only shortlists, ((z - e) ** 2).sum() decides; _BLOCK_ROWS rows at a time.
+    Exact: float32 BLAS only shortlists, ((z - e) ** 2).sum() decides; _BLOCK_ROWS rows at a time.
     """
     batch = _check_real_array("batch", batch, (None, codebook.dim))
     entries, size, dim = codebook.entries, codebook.size, codebook.dim
     e2 = np.einsum("kd,kd->k", entries, entries)
-    weights = np.vstack([-2.0 * entries.T, e2])  # [z, 1] @ weights = |e|^2 - 2 z.e, one call
+    # [z, 1] @ weights = |e|^2 - 2 z.e in float32, one call a block
+    weights = np.vstack([-2.0 * entries.T, e2]).astype(np.float32)
+    bound = np.einsum("nd,nd->n", batch, batch) + e2.max()  # S = |z|^2 + |e|^2 <= bound
+    # With u = 2^-24 and t float32's smallest normal, rounding to float32 moves x by <= u |x| + t,
+    # with gradual underflow or flush-to-zero. The casts of z, -2 e and |e|^2 move short by
+    # <= 4 u bound + t (2 |z||e| <= S), and the length d + 1 dot, its terms summing in |.| to
+    # <= 2 bound, in any order with or without FMA by <= 2 (d + 1) u bound + (d + 1) t. The
+    # float64 re-check errs by far less than u bound, so the winner's short is within (4 d + 13)
+    # u bound + 2 (d + 2) t of min(short) to first order. margin is 4x that, enough for d < 2^22
+    # with the higher-order terms, and each row's limit is rounded up to float32, never down.
+    margin = 4 * ((4 * dim + 13) * 2.0**-24 * bound + 2 * (dim + 2) * _F32.tiny)
+    margin[bound >= _F32.max / 8] = np.inf  # keep every entry; below max / 8 nothing overflows
     out = np.empty(len(batch), dtype=np.int64)
     n_buf = min(len(batch), _BLOCK_ROWS)
-    z1 = np.ones((n_buf, dim + 1))  # each block's [z, 1], its last column kept at 1
-    buffer, keep = np.empty((n_buf, size)), np.empty((n_buf, size), dtype=bool)
+    z1 = np.ones((n_buf, dim + 1), dtype=np.float32)  # each block's [z, 1], last column at 1
+    buffer, base = np.empty((n_buf, size), dtype=np.float32), np.arange(n_buf) * size
     step = max(1, _BLOCK_ROWS * size // dim)  # (step, d) re-check temporaries match the buffer
     for lo in range(0, len(batch), _BLOCK_ROWS):
         z = batch[lo:lo + _BLOCK_ROWS]
-        z1[:len(z), :dim] = z
-        bound = np.einsum("nd,nd->n", z, z) + e2.max()
-        short = np.matmul(z1[:len(z)], weights, out=buffer[:len(z)])  # the distance less |z|^2
-        # short is one length d + 1 dot whose terms sum in |.| to <= |z|^2 + 2 |e|^2, one term
-        # being |e|^2, itself a length d sum: rounding moves short by <= (3 d + 2) u S plus d
-        # subnormals, and the exact sum by <= 2 (d + 2) u S plus d / 2 (S = |z|^2 + |e|^2 <=
-        # bound, u = eps / 2). So the winner is within 2 (5 d + 6) u bound + 3 d subnormals of
-        # min(short); spacing(bound) is at least u bound and one subnormal, so margin is 4x that.
-        margin = 4 * (13 * dim + 12) * np.spacing(bound)
-        limit = np.where(np.isfinite(4 * bound), short.min(axis=1) + margin, np.inf)
-        outside = np.greater(short, limit[:, None], out=keep[:len(z)])
-        inside = np.logical_not(outside, out=outside)  # NaN stays in
-        rows, cols = np.divmod(np.flatnonzero(inside), size)
+        n = len(z)
+        z1[:n, :dim] = z
+        short = np.matmul(z1[:n], weights, out=buffer[:n])  # the distance less |z|^2
+        flat, best = short.reshape(-1), base[:n] + short.argmin(axis=1)
+        low = flat[best]
+        flat[best] = np.inf  # the runner-up is the row minimum with the argmin masked out
+        second = flat[base[:n] + short.argmin(axis=1)]
+        flat[best] = low
+        limit = np.nextafter((low + margin[lo:lo + n]).astype(np.float32), np.float32(np.inf))
+        out[lo:lo + n] = best - base[:n]  # rows whose runner-up lies above the limit are done
+        tied = np.flatnonzero(~(second > limit))  # NaN stays in
+        if not tied.size:
+            continue
+        r, cols = np.divmod(np.flatnonzero(~(short[tied] > limit[tied, None])), size)
+        rows = tied[r]
         d2 = np.concatenate([((z[rows[s:s + step]] - entries[cols[s:s + step]]) ** 2).sum(axis=1)
                              for s in range(0, len(rows), step)])
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        first = np.where(d2 == np.minimum.reduceat(d2, starts)[rows], cols, size)
-        out[lo + rows[starts]] = np.minimum.reduceat(first, starts)
+        starts = np.flatnonzero(np.diff(r, prepend=-1))  # every tied row keeps its argmin
+        first = np.where(d2 == np.minimum.reduceat(d2, starts)[r], cols, size)
+        out[lo + tied] = np.minimum.reduceat(first, starts)
     return out
 
 

@@ -290,8 +290,12 @@ def check_lattice(d, n, scale, data, seed):
 @settings(max_examples=100, deadline=None)
 @given(k=st.integers(2, 200), d=st.integers(1, 12), n=ROWS, scale=SCALES, seed=SEEDS)
 def test_assign_near_equidistant_midpoints(k, d, n, scale, seed):
+    check_midpoints(k, d, n, scale, seed)
+
+
+def check_midpoints(k, d, n, scale, seed, offset=0.0):
     rng = np.random.default_rng(seed)
-    entries = rng.normal(size=(k, d)) * scale
+    entries = offset + rng.normal(size=(k, d)) * scale
     i, j = rng.integers(0, k, size=(2, n))
     mid = (entries[i] + entries[j]) / 2
     rel = 10.0 ** rng.uniform(-17, -12, size=(n, 1))  # down to below one ulp
@@ -299,8 +303,51 @@ def test_assign_near_equidistant_midpoints(k, d, n, scale, seed):
     check_against_scan(batch, entries)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_assign_near_equidistant_midpoints_far_from_the_origin(seed):
+    # entries within a few units of 1e3: float32's rounding of |e|^2 - 2 z.e, some u |e|^2,
+    # dwarfs the gap between a midpoint's two entries, so only a shortlist margin as wide as
+    # that rounding keeps the winner
+    check_midpoints(64, 1 + seed % 2, 4000, 1.0, seed, offset=1e3)
+
+
+# float32's range: products and squares of coordinates past 1e19 overflow it, and below
+# 1e-19 leave its normal range
+F32_SCALES = st.floats(-30.0, 30.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 300), d=st.integers(1, 12), n=ROWS, scale=F32_SCALES,
+       duplicates=st.booleans(), seed=SEEDS)
+def test_assign_random_across_float32_range(k, d, n, scale, duplicates, seed):
+    check_random(k, d, n, scale, duplicates, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 10), n=ROWS, scale=F32_SCALES, data=st.data(), seed=SEEDS)
+def test_assign_lattice_ties_across_float32_range(d, n, scale, data, seed):
+    check_lattice(d, n, scale, data, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(2, 200), d=st.integers(1, 12), n=ROWS, scale=F32_SCALES, seed=SEEDS)
+def test_assign_near_equidistant_midpoints_across_float32_range(k, d, n, scale, seed):
+    check_midpoints(k, d, n, scale, seed)
+
+
+def test_assign_past_float32_range_keeps_every_entry():
+    # |e|^2 of entry 1 is past float32's max, so its float32 shortlist value is +inf, while
+    # entry 0's is finite; the exact distances are 1.1e19 to entry 1 and 1.8e19 to entry 0
+    entries = np.array([[-1e19], [1.9e19]])
+    rng = np.random.default_rng(6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a float32 cast that overflows warns unless silenced
+        assert vq_assign(np.array([[8e18]]), fresh(entries)).tolist() == [1]
+        check_against_scan(rng.normal(size=(600, 3)) * 2e19, rng.normal(size=(50, 3)) * 2e19)
+
+
 # products and squares of coordinates this small are subnormal or underflow to 0, so the
-# shortlist margin rests on its subnormal term alone
+# shortlist margin rests on its absolute term alone
 TINY_SCALES = st.floats(-300.0, -160.0).map(lambda e: 10.0**e)
 
 
@@ -317,9 +364,10 @@ def test_assign_lattice_ties_at_subnormal_scales(d, n, scale, data, seed):
     check_lattice(d, n, scale, data, seed)
 
 
-@pytest.mark.parametrize("scale", [1e-160, 3e-161, 1e-161])
+@pytest.mark.parametrize("scale", [1e-19, 1e-22, 1e-25, 1e-160, 3e-161, 1e-161])
 def test_assign_at_subnormal_scales_keeps_the_winner(scale):
-    # distances of a few thousand subnormals: short errs by up to d of them per entry
+    # float32 products of coordinates from 1e-19 down are subnormal, or underflow to 0; from
+    # 1e-160 down, distances are a few thousand float64 subnormals
     rng = np.random.default_rng(5)
     check_against_scan(rng.normal(size=(2000, 12)) * scale, rng.normal(size=(300, 12)) * scale)
 
