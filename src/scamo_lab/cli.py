@@ -38,6 +38,7 @@ __all__ = ["run", "main", "dumps", "dumps_line"]
 # what argparse reads as a negative number, not an option: -5 and -0.5 as it does, and also
 # -1e5, so that `--flops -1e5` parses as `--flops=-1e5` does
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+_FLOAT = ".17g"  # every float's format: _fmt_float's and the run-log writer's
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +48,7 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite float {x!r}")
-    return format(float(x), ".17g")
+    return format(float(x), _FLOAT)
 
 
 def _json(obj, indent: int | None, depth: int = 0) -> str:
@@ -143,10 +144,10 @@ def _load_csv_matrix(path: str, name: str) -> np.ndarray:
     return matrix
 
 
-# %.17g is _fmt_float's format; a table's float columns are always finite, as RunRecord,
-# load_runs and synth_runs (the makers of its columns) check every value
+# a table's float columns are always finite, as RunRecord, load_runs and synth_runs (the makers
+# of its columns) check every value
 _RUN_LINE = "{" + ", ".join(
-    f'"{name}": %{".17g" if name in _REAL_FIELDS else "s"}' for name in RUN_FIELDS) + "}\n"
+    f'"{name}": %{_FLOAT if name in _REAL_FIELDS else "s"}' for name in RUN_FIELDS) + "}\n"
 
 
 def _run_lines(runs: RunTable) -> Iterator[str]:
@@ -272,10 +273,10 @@ def _cmd_frontier(args) -> Iterable[str]:
         }
         for p in _frontier_rows(args)
     ]
-    columns = ("flops", "n_nv", "n_v", "d_tokens", "loss")
-    table = [",".join(columns)] + [",".join(_fmt_float(row[c]) for c in columns) for row in rows]
     if args.csv is not None:
-        args.files[args.csv] = ("\n".join(table) + "\n",)
+        columns = ("flops", "n_nv", "n_v", "d_tokens", "loss")
+        lines = [columns] + [[_fmt_float(row[c]) for c in columns] for row in rows]
+        args.files[args.csv] = ("".join(",".join(line) + "\n" for line in lines),)
     return _document(rows)
 
 
@@ -433,7 +434,8 @@ def _write_files(files: dict[str, Iterable[str]]) -> None:
             if os.path.exists(target) and not os.path.isfile(target):
                 streams.append((path, chunks))
                 continue
-            tmp = f"{target}.{os.getpid()}.tmp"
+            # a stale temp under a pid that came back may be live: the token steps round it
+            tmp = f"{target}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
             with open(tmp, "x", encoding="utf-8") as fh:
                 moves.append((tmp, path))
                 fh.writelines(chunks)

@@ -28,19 +28,21 @@ __all__ = [
 ]
 
 
+class _Law:
+    def __post_init__(self) -> None:
+        """Every field a real number, checked in field order; r2 only when it is not None."""
+        for name in (f.name for f in fields(self)):
+            if name != "r2" or getattr(self, name) is not None:
+                _check_real(name, getattr(self, name))
+
+
 @dataclass(frozen=True)
-class PowerLawFit:
+class PowerLawFit(_Law):
     """y = 10**log10_coef * x**exponent, with the fit's r2 when known."""
 
     log10_coef: float
     exponent: float
     r2: float | None = None
-
-    def __post_init__(self) -> None:
-        _check_real("log10_coef", self.log10_coef)
-        _check_real("exponent", self.exponent)
-        if self.r2 is not None:
-            _check_real("r2", self.r2)
 
     def evaluate(self, x: float) -> float:
         _check_real("x", x, "positive")
@@ -51,18 +53,12 @@ class PowerLawFit:
 
 
 @dataclass(frozen=True)
-class LogLawFit:
+class LogLawFit(_Law):
     """loss = slope * log10(c) + intercept, with the fit's r2 when known."""
 
     slope: float
     intercept: float
     r2: float | None = None
-
-    def __post_init__(self) -> None:
-        _check_real("slope", self.slope)
-        _check_real("intercept", self.intercept)
-        if self.r2 is not None:
-            _check_real("r2", self.r2)
 
     def evaluate(self, c: float) -> float:
         _check_real("c", c, "positive")
@@ -135,22 +131,26 @@ def pareto_frontier(
 
     Buckets are floor(log10(flops) / bin_width) * bin_width, and a run exactly
     on an edge k * bin_width falls in bucket k. Loss ties prefer smaller n_nv,
-    then smaller n_v, then the lexicographically smaller run_id. runs may be a
-    RunTable or any sequence of RunRecords.
+    then smaller n_v, then the lexicographically smaller run_id, then the
+    earlier run. runs may be a RunTable or any sequence of RunRecords.
     """
     _check_real("bin_width_log10", bin_width_log10, "positive")
     if len(runs) == 0:
         raise ValueError("no runs")
     table = runs if isinstance(runs, RunTable) else RunTable(runs)
-    buckets, rows = _winners(table, bin_width_log10)
-    return [FrontierPoint(flops_bucket_log10=k * bin_width_log10, run=run, n_nv=float(run.n_nv()),
-                          n_v=float(run.n_v), d_tokens=float(run.tokens_trained),
+    buckets, groups = _winners(table, bin_width_log10)
+    # each tied row's record is built once; ties break on its exact integer counts, as
+    # 12 * L * d**2 can pass int64
+    best = (min((((r := table[i]).n_nv(), r.n_v, r.run_id), i, r) for i in tied) for tied in groups)
+    return [FrontierPoint(flops_bucket_log10=k * bin_width_log10, run=run, n_nv=float(n_nv),
+                          n_v=float(n_v), d_tokens=float(run.tokens_trained),
                           loss=run.normalized_loss)
-            for k, run in zip(buckets, map(table.__getitem__, rows))]
+            for k, ((n_nv, n_v, _), _, run) in zip(buckets, best)]
 
 
-def _winners(table: RunTable, bin_width_log10: float) -> tuple[list[float], list[int]]:
-    """Each occupied bucket's index k, ascending, and the table row of its winner."""
+def _winners(table: RunTable, bin_width_log10: float) -> tuple[list[float], list[list[int]]]:
+    """Each occupied bucket's index k, ascending, and the table rows tied at its lowest loss, in
+    row order."""
     # math.log10, not np.log10, which may differ in the last bit and move a run across an edge;
     # log10 and the division each round, so flops exactly on an edge k * bin_width can give a
     # quotient a few ULP short of k
@@ -162,16 +162,12 @@ def _winners(table: RunTable, bin_width_log10: float) -> tuple[list[float], list
                          "log10(flops) / bin_width_log10 overflows")
     k = np.round(q)
     bucket = np.where(np.abs(q - k) <= 4 * np.spacing(np.abs(q)), k, np.floor(q))
-    # rows by bucket, then loss: a bucket's winner is among the rows tied at its first loss
+    # rows by bucket, then loss, then row (lexsort is stable): a bucket's ties lead its rows
     order = np.lexsort((table.normalized_loss, bucket))
     loss, bucket = table.normalized_loss[order], bucket[order]
     starts = np.flatnonzero(np.r_[True, bucket[1:] != bucket[:-1]]).tolist()
-    rows = []
-    for start, end in zip(starts, [*starts[1:], len(order)]):
-        tied = order[start:end][loss[start:end] == loss[start]].tolist()
-        # ties break on the exact integer counts (12 * L * d**2 can pass int64), then run_id
-        rows.append(min(tied, key=lambda i: ((r := table[i]).n_nv(), r.n_v, r.run_id)))
-    return bucket[starts].tolist(), rows
+    return bucket[starts].tolist(), [order[start:end][loss[start:end] == loss[start]].tolist()
+                                     for start, end in zip(starts, [*starts[1:], len(order)])]
 
 
 # squares past float range reach r2 as inf or nan; a flat row's 0 / 0 slope is masked

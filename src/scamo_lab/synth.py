@@ -47,8 +47,6 @@ class CGridSpec:
             raise ValueError("grid with several points needs max_log10 > min_log10")
 
     def values_log10(self) -> np.ndarray:
-        if self.n_points == 1:
-            return np.array([self.min_log10])
         return np.linspace(self.min_log10, self.max_log10, self.n_points)
 
 

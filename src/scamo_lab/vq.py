@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .flops import _check_int, _check_real, _check_real_array
+from .flops import _check_int, _check_real, _check_real_array, _real_array
 
 __all__ = [
     "VqCodebook",
@@ -49,7 +49,7 @@ class VqCodebook:
     @classmethod
     def fresh(cls, entries) -> "VqCodebook":
         """Codebook whose EMA state is consistent with its entries (usage 1)."""
-        entries = _check_real_array("entries", entries, (None, None))
+        entries = _real_array("entries", entries, (None, None))  # __post_init__ checks values
         return cls(
             entries=entries.copy(),
             usage_counts=np.ones(entries.shape[0]),
@@ -153,8 +153,8 @@ def vq_ema_update(batch, codebook: VqCodebook, params: VqTrainParams) -> VqCodeb
     Codes with zero updated usage keep their entries. The input codebook is
     not mutated.
     """
-    batch = _check_real_array("batch", batch, (None, codebook.dim))
-    indices = vq_assign(batch, codebook)
+    batch = _real_array("batch", batch, (None, codebook.dim))
+    indices = vq_assign(batch, codebook)  # checks the batch's values
     n = np.bincount(indices, minlength=codebook.size).astype(np.float64)
     # per column, rows added in order from +0.0: the sums np.add.at gives, bit for bit
     s = np.column_stack([np.bincount(indices, weights=col, minlength=codebook.size)

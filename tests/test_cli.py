@@ -699,6 +699,16 @@ def test_out_through_a_symlink_replaces_its_target_and_keeps_the_link(invoke, tm
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
 
 
+def test_a_stale_temp_under_this_pid_does_not_block_the_write(invoke, tmp_path):
+    # a killed run's temp whose pid came back: the write goes round it and leaves it alone
+    _, stdout, _ = invoke(PLAN_ARGV)
+    out, stale = tmp_path / "fits.json", tmp_path / f"fits.json.{os.getpid()}.tmp"
+    stale.write_text("stale bytes\n")
+    assert invoke([*PLAN_ARGV, "--out", str(out)]) == (0, "", "")
+    assert out.read_text() == stdout and stale.read_text() == "stale bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fits.json", stale.name]
+
+
 def test_out_through_a_symlink_loop_is_one_error_line(invoke, tmp_path):
     loop = tmp_path / "loop"
     loop.symlink_to(loop)

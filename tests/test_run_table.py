@@ -6,6 +6,7 @@ The table path must give equal records, byte-equal JSONL, equal frontiers and
 the same error text, line numbers included.
 """
 
+import contextlib
 import json
 import math
 import tracemalloc
@@ -20,6 +21,7 @@ from scamo_lab import (
     CGridSpec,
     FrontierPoint,
     LogLawFit,
+    ModelConfig,
     PowerLawFit,
     RunLogError,
     RunRecord,
@@ -30,7 +32,7 @@ from scamo_lab import (
     pareto_frontier,
     synth_runs,
 )
-from scamo_lab import core
+from scamo_lab import core, scaling
 from scamo_lab.cli import _run_lines, _write_files, dumps_line, run
 from scamo_lab.flops import _check_real
 
@@ -438,6 +440,58 @@ def test_frontier_ties_break_on_exact_counts_past_int64():
     assert float(big[0].n_nv()) == float(big[1].n_nv())
     assert pareto_frontier(big)[0].run.run_id == "r1"
     assert pareto_frontier(RunTable(big))[0].run.run_id == "r1"
+
+
+def test_frontier_ties_on_every_key_pick_the_first_row():
+    # a hand-built table may repeat a run_id: equal counts and run_ids leave the row order
+    twins = [RunRecord("a", 1, 1, 1, 1, 1, tokens, 1e15, 0.0) for tokens in (3, 1, 2)]
+    for runs in (twins, RunTable(twins)):
+        assert pareto_frontier(runs) == reference_pareto_frontier(twins)
+        assert pareto_frontier(runs)[0].run.tokens_trained == 3
+
+
+@contextlib.contextmanager
+def counted_builds():
+    """How many RunRecords and ModelConfigs are built inside the block, by class name."""
+    built = {"RunRecord": 0, "ModelConfig": 0}
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in (RunRecord, ModelConfig):
+            def counted(self, check=cls.__post_init__, name=cls.__name__):
+                built[name] += 1
+                check(self)
+            patch.setattr(cls, "__post_init__", counted)
+        yield built
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(tie_heavy_runs())
+def test_frontier_judges_each_tied_row_once(case):
+    runs, width = case
+    table = RunTable(runs)
+    by_bucket = {}
+    for i, run in enumerate(runs):  # the reference's buckets
+        q = math.log10(run.flops) / width
+        k = round(q)
+        by_bucket.setdefault(k if abs(q - k) <= 4 * math.ulp(q) else math.floor(q), []).append(
+            (run.normalized_loss, i))
+    buckets, groups = scaling._winners(table, width)
+    assert buckets == sorted(by_bucket)
+    # each group: exactly the rows at its bucket's lowest loss, in row order
+    assert groups == [[i for loss, i in rows if loss == min(rows)[0]]
+                      for _, rows in sorted(by_bucket.items())]
+    with counted_builds() as built:
+        pareto_frontier(table, width)
+    tied = sum(map(len, groups))
+    assert built == {"RunRecord": tied, "ModelConfig": 2 * tied}
+
+
+def test_frontier_judges_each_winner_once_on_a_synth_sweep():
+    # no ties: one RunRecord a winner, and its ModelConfig built twice, for the record's
+    # divisibility rule and for n_nv
+    table = synth_runs(SynthSpec(PAPER, CGridSpec(14.1, 18.1, 100), 20, 0.05, 1))
+    with counted_builds() as built:
+        frontier = pareto_frontier(table, 0.1)
+    assert len(frontier) == 41 and built == {"RunRecord": 41, "ModelConfig": 82}
 
 
 def test_frontier_of_synth_sweep_matches_the_reference():
