@@ -408,8 +408,8 @@ def run(argv: list[str] | None = None) -> int:
             os.dup2(devnull, fd)  # the exit flush goes to /dev/null, not to the closed pipe
             os.close(devnull)
         return 1
-    except (ValueError, OSError, RecursionError) as exc:  # RecursionError: JSON nested too deep
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, RecursionError, MemoryError) as exc:  # RecursionError: deep JSON
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)  # MemoryError: no text
         return 1
     return 0
 

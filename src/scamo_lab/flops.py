@@ -98,8 +98,8 @@ def _real_array(name: str, value, shape) -> np.ndarray:
 
 
 def _check_real_block(name: str, block: np.ndarray, kind: str = "finite") -> None:
-    """The real-number rule's values on one non-empty block: every value finite, and also
-    positive, non-negative or non-positive by kind."""
+    """The real-number rule's values on one non-empty block or whole array: every value finite,
+    and also positive, non-negative or non-positive by kind."""
     words, test = _REAL_KINDS[kind]
     low, high = block.min(), block.max()  # no temporary: a NaN gives NaN, an infinity shows
     if not (-math.inf < low and high < math.inf and test(low, high)):
@@ -107,10 +107,9 @@ def _check_real_block(name: str, block: np.ndarray, kind: str = "finite") -> Non
 
 
 def _check_real_array(name: str, value, shape, kind: str = "finite") -> np.ndarray:
-    """_real_array, then _check_real_block on each block of _BLOCK_ROWS rows."""
+    """_real_array, then _check_real_block on the whole array, which its shape keeps non-empty."""
     array = _real_array(name, value, shape)
-    for lo in range(0, len(array), _BLOCK_ROWS):
-        _check_real_block(name, array[lo:lo + _BLOCK_ROWS], kind)
+    _check_real_block(name, array, kind)
     return array
 
 
@@ -136,16 +135,11 @@ def _int_rule(name: str, rows: np.ndarray, minimum: int, maximum=None):
     """The integer rule's values, as a function that judges one non-empty block of at most
     _BLOCK_ROWS of rows: rows of one value, or of channels for a maximum per channel. It refuses
     a value outside [minimum, maximum] (minimum is never negative), and an unconverted block."""
-    if np.ndim(maximum) == 0:  # no maximum, or one: the block's largest value against it
-        def below_top(block: np.ndarray) -> bool:
-            return maximum is None or block.max() <= maximum
-    else:  # per channel: the maxima as one whole block, made once, so a block compares in one
-        # flat loop, not per row
-        top = np.broadcast_to(maximum, rows[:_BLOCK_ROWS].shape).copy()
-        def below_top(block: np.ndarray) -> bool:
-            return (block <= top[:len(block)]).all()
+    # the maximum, one or per channel, tiled once to a whole block: a block compares in one loop
+    top = None if maximum is None else np.broadcast_to(maximum, rows[:_BLOCK_ROWS].shape).copy()
     def check(block: np.ndarray) -> None:
-        if block.dtype != np.int64 or block.min() < minimum or not below_top(block):
+        if (block.dtype != np.int64 or block.min() < minimum
+                or top is not None and not (block <= top[:len(block)]).all()):
             bounds = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
             raise ValueError(f"{name} must be integers {bounds}")
     return check

@@ -12,6 +12,8 @@ import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .flops import _check_int, _check_real, flops_approx
 from .scaling import LogLawFit, PowerLawFit, ScalingFits
 
@@ -114,8 +116,9 @@ def plan_budget(
         return math.log10(_check_real("6 (n_nv + n_v) d_tokens / c_flops", ratio, "positive"))
 
     residual = log10_ratio()
-    if rescale_d:
-        d_tokens /= 10.0**residual
+    if rescale_d:  # numpy's scalar pow is Python's, but gives inf past float range: refused
+        with np.errstate(over="ignore"):
+            d_tokens /= _check_real("10**residual", float(np.float64(10.0) ** residual))
         residual = log10_ratio()
     vocab = _vocab(n_v, d_model)
     return BudgetPlan(

@@ -42,6 +42,7 @@ class CGridSpec:
         _check_real("max_log10", self.max_log10)
         if self.max_log10 < self.min_log10:
             raise ValueError("max_log10 must be >= min_log10")
+        _check_real("max_log10 - min_log10", self.max_log10 - self.min_log10)
         _check_int("n_points", self.n_points)
         if self.n_points > 1 and self.max_log10 == self.min_log10:
             raise ValueError("grid with several points needs max_log10 > min_log10")
@@ -105,13 +106,12 @@ def synth_runs(spec: SynthSpec) -> RunTable:
         # calls the same C pow as Python's float pow, but gives inf past float range
         s = (0.0 + sigma * z).ravel().tolist()
         p = np.fromiter(map(np.float64(10.0).__pow__, s), np.float64, len(s))
-        # the per-row rules on arrays: laws and pows are >= 0, inf or nan, so the int64 bound
-        # refuses a nan or inf value, and a count of at least 1 a zero draw
+        # fits[q, k]: row k's n_nv, n_v or d_tokens has a count >= 1 within 20% (nan, inf: false)
         n_v, n_nv, d_tokens = p.reshape(z.shape).T * np.array([[n_v_law], [n_nv_law], [d_law]])
         drawn, granule = np.array([n_nv, n_v, d_tokens]), np.array([[_PARAM_GRANULE], [1], [1]])
         shape = np.floor(drawn / granule + 0.5)
-        ok = ((shape.min(axis=0) >= 1) & (abs(granule * shape - drawn) <= _PARAM_REL_TOL * drawn)
-              .all(axis=0) & (shape.max(axis=0) < 2.0**63) & np.isfinite(loss))
+        fits = (shape >= 1) & (abs(granule * shape - drawn) <= _PARAM_REL_TOL * drawn)
+        ok = fits.all(axis=0) & (shape.max(axis=0) < 2.0**63) & np.isfinite(loss)
         if not ok.all():  # the first flagged row breaks a rule: word the first, in the rules' order
             k = int(np.argmin(ok))
             _check_real("n_v", float(n_v[k]), "non-negative")
@@ -120,10 +120,10 @@ def synth_runs(spec: SynthSpec) -> RunTable:
             if shape[0, k] < 1:
                 raise ValueError(
                     f"target {target} is below the smallest valid config ({_PARAM_GRANULE} params)")
-            if abs(_PARAM_GRANULE * shape[0, k] - target) > _PARAM_REL_TOL * target:
+            if not fits[0, k]:
                 raise ValueError(f"no config within {_PARAM_REL_TOL:.0%} of target {target}")
-            for name, value, count in zip(("n_v", "d_tokens"), drawn[1:, k], shape[1:, k]):
-                if count < 1 or abs(count - value) > _PARAM_REL_TOL * value:
+            for name, value, fit in zip(("n_v", "d_tokens"), drawn[1:, k], fits[1:, k]):
+                if not fit:
                     raise ValueError(f"{name} {float(value)} at budget 10**{float(x)} is more than "
                                      f"{_PARAM_REL_TOL:.0%} from every positive integer")
             n_layers, vocab, tokens = map(int, shape[:, k].tolist())

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from scamo_lab import FITS_PRESETS, ScalingFits, load_runs
+from scamo_lab import FITS_PRESETS, ScalingFits, cli, load_runs
 from scamo_lab.cli import _fmt_float, dumps, dumps_line, run
 from scamo_lab.core import _CHUNK_ROWS
 
@@ -866,6 +866,22 @@ def test_law_past_float_range_is_one_error_line(invoke, tmp_path, command):
     assert err == "error: n_v must be non-negative and finite, got inf\n"
 
 
+def test_plan_rescale_past_float_range_is_one_error_line_and_no_file(invoke, tmp_path):
+    """The laws' ratio to the budget is finite, but 10**residual rounds past float range."""
+    doc = {"nv_vs_c": [-400.0, 0.0], "nnv_vs_c": [300.0, 0.0], "d_vs_c": [7.47656430953308, 0.0],
+           "nv_vs_nnv": [0.0, 1.0]}
+    doc = {name: {"log10_coef": coef, "exponent": exponent, "r2": None}
+           for name, (coef, exponent) in doc.items()}
+    doc["loss_vs_c"] = {"slope": 0.0, "intercept": 1.0, "r2": None}
+    (tmp_path / "fits.json").write_text(json.dumps(doc))
+    argv = ["plan", "--flops", "1", "--d-model", "8", "--fits", str(tmp_path / "fits.json")]
+    code, out, _ = invoke(argv)
+    assert code == 0 and json.loads(out)["constraint_residual_log10"] == 308.25471555991675
+    code, out, err = invoke([*argv, "--rescale-d", "--out", str(tmp_path / "plan.json")])
+    assert (code, out, err) == (1, "", "error: 10**residual must be finite, got inf\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["fits.json"]
+
+
 def test_fit_rejects_run_past_float_range(invoke):
     record = {**json.loads(RUN_LINE), "n_layers": int("9" * 330)}
     code, out, err = invoke(["fit", "--bin-width", "0.5"], stdin=json.dumps(record))
@@ -937,6 +953,42 @@ def test_synth_budget_overflow_is_one_error_line(invoke):
                                  "--grid-points", "2"])
         assert (code, out) == (1, "")
         assert err == f"error: budget 10**{low}.0 must be positive and finite, got {value}\n"
+
+
+def test_synth_grid_span_past_float_range_is_one_error_line_and_no_file(invoke, tmp_path):
+    """Each end is finite, but max - min is not: refused by name, not as a budget of 10**nan."""
+    code, out, err = invoke(["synth", "--grid-min", "-1e308", "--grid-max", "1e308",
+                             "--grid-points", "2", "--out", str(tmp_path / "runs.jsonl")])
+    assert (code, out) == (1, "")
+    assert err == "error: max_log10 - min_log10 must be finite, got inf\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_out_of_memory_is_one_error_line_and_no_file(invoke, tmp_path, monkeypatch):
+    def exhausted(spec):
+        raise MemoryError  # as a list or array too large for the address space is
+    monkeypatch.setattr("scamo_lab.synth.synth_runs", exhausted)
+    code, out, err = invoke(["synth", "--out", str(tmp_path / "runs.jsonl")])
+    assert (code, out, err) == (1, "", "error: MemoryError\n")  # its text is empty: its name
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["synth", "ingest"])
+def test_out_of_memory_after_a_chunk_is_one_error_line_and_no_file(
+        invoke, tmp_path, monkeypatch, three_chunk_log, command):
+    written, run_lines = [], cli._run_lines
+    def exhausted(runs):  # the first chunk goes to the temp file, then memory runs out
+        written.append(next(run_lines(runs)))
+        yield written[0]
+        raise MemoryError
+    monkeypatch.setattr(cli, "_run_lines", exhausted)
+    monkeypatch.chdir(tmp_path)
+    argv = {"synth": ["synth", "--grid-points", "1", "--runs-per-budget", str(2 * _CHUNK_ROWS)],
+            "ingest": ["ingest", "--runs", str(three_chunk_log)]}[command]
+    code, out, err = invoke([*argv, "--out", "out.jsonl"])
+    assert (code, out, err) == (1, "", "error: MemoryError\n")
+    assert written[0].count("\n") == _CHUNK_ROWS
+    assert [p.name for p in tmp_path.iterdir()] == ["runs.jsonl"]
 
 
 def test_synth_of_a_law_below_one_vocab_entry_is_one_error_line(invoke, tmp_path):

@@ -273,6 +273,8 @@ REALS = [
 # which the error prints as a plain float
 OUT_OF_RANGE = {"finite": [], "positive": [np.float64(0.0)], "non-negative": [np.float64(-1.0)],
                 "non-positive": [np.float64(1.0)]}
+# an integer array's first values past its maximum: the second channel's, for a maximum per channel
+ABOVE = {"in [1, (8, 5)]": (1, 6), "in [0, 39]": (40,)}
 
 
 def _real_cases():
@@ -361,6 +363,8 @@ def _array_cases():
             cases["float"] = (good.astype(np.float64), "must be integers")
             cases["bool"] = (good.astype(bool), "must be integers")
             cases["range"] = (_with_first(good, -1), f"must be integers {rule}")
+            if rule in ABOVE:
+                cases["above"] = (_with_first(good, *ABOVE[rule]), f"must be integers {rule}")
             # Python ints past int64: numpy holds them as objects, or as float64 beside a negative
             cases["past int64"] = (_with_first(good.astype(object), 2**64).tolist(),
                                    f"must be integers {rule}")
@@ -368,7 +372,7 @@ def _array_cases():
                 _with_first(good.astype(object), -1, 2**63).tolist(), f"must be integers {rule}")
         else:
             words = "finite" if rule == "finite" else f"{rule} and finite"
-            for value in [float("nan"), *OUT_OF_RANGE[rule]]:
+            for value in [float("nan"), np.inf, -np.inf, *OUT_OF_RANGE[rule]]:
                 cases[repr(float(value))] = (_with_first(good, value), f"must be {words}")
             for dtype in (bool, complex, str):
                 cases[dtype.__name__] = (good.astype(dtype), "must be real numbers")

@@ -4,7 +4,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scamo_lab import (
     CONSISTENCY_TOLERANCE_LOG10,
@@ -159,6 +159,10 @@ def test_a_plan_is_the_laws_point(laws, log10_c, d_model):
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(law_sets(150.0, 5.0), st.floats(-60.0, 60.0), st.integers(1, 4096), st.booleans())
+# a finite ratio whose 10**residual rounds past float range, which Python's pow raises on
+@example(ScalingFits(PowerLawFit(-400.0, 0.0), PowerLawFit(300.0, 0.0),
+                     PowerLawFit(7.47656430953308, 0.0), PowerLawFit(0.0, 1.0), LogLawFit(0.0, 1.0)),
+         0.0, 8, True)
 def test_a_plan_past_float_range_is_refused_or_the_laws_point(laws, log10_c, d_model, rescale_d):
     """Law values may leave float range here, or their product may: the plan is then refused with
     a ValueError, never another exception, and a plan that is made keeps the laws' n_v and n_nv."""

@@ -360,6 +360,10 @@ SYNTH_SPECS = {
     # vocab_size 2**63 - 36864, - 15360 and - 19456 on rows 0-2, then exactly 2**63 on row 3
     "vocab at 2**63": SynthSpec(_laws(nv_vs_c=math.log10(2.0**63) - 0.75 * 14),
                                 CGridSpec(14.0, 14.0, 1), 12, 2e-15, 96),
+    # n_v and d_tokens both near 0.4, 20% off every positive integer: n_v's error comes first
+    "n_v and d_tokens 20% off": SynthSpec(_laws(nv_vs_c=math.log10(0.4) - 0.75 * 14,
+                                                d_vs_c=math.log10(0.4) - 0.43 * 14),
+                                          CGridSpec(14.0, 14.0, 1), 1, 0.0, 1),
     # row 0 passes every rule, row 1 breaks the int64 bound and row 2's pow overflows: the
     # error is row 1's, though the budget holds a value past float range
     "pass, int64, overflow": SynthSpec(

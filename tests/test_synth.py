@@ -55,6 +55,8 @@ def test_grid_validation():
         CGridSpec(14.0, 14.0, 2)  # several points need an actual span
     with pytest.raises(ValueError):
         CGridSpec(float("nan"), 16.0, 3)
+    with pytest.raises(ValueError, match=r"^max_log10 - min_log10 must be finite, got inf$"):
+        CGridSpec(-1e308, 1e308, 2)  # each end finite, the span past float range
 
 
 def test_spec_validation():
