@@ -321,6 +321,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Compute-scaling laboratory for quantized-token sequence models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    log = argparse.ArgumentParser(add_help=False)  # the run-log commands' shared options
+    log.add_argument("--runs", default=None, help="run JSONL path (default stdin)")
+    binned = argparse.ArgumentParser(add_help=False, parents=[log])  # frontier's and fit's
+    binned.add_argument("--bin-width", dest="bin_width", type=float, default=0.25)
 
     p = sub.add_parser("flops", help="per-token FLOPs breakdown for a transformer shape")
     p.add_argument("--layers", type=int, required=True)
@@ -348,19 +352,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", default=None, help="input CSV path (default stdin)")
     p.set_defaults(handler=_cmd_normloss)
 
-    p = sub.add_parser("ingest", help="validate a run JSONL log and fill missing flops")
-    p.add_argument("--runs", default=None, help="run JSONL path (default stdin)")
+    p = sub.add_parser("ingest", parents=[log], help="validate a run JSONL log and fill missing flops")
     p.set_defaults(handler=_cmd_ingest)
 
-    p = sub.add_parser("frontier", help="isoFLOPs frontier of a run log")
-    p.add_argument("--runs", default=None, help="run JSONL path (default stdin)")
-    p.add_argument("--bin-width", dest="bin_width", type=float, default=0.25)
+    p = sub.add_parser("frontier", parents=[binned], help="isoFLOPs frontier of a run log")
     p.add_argument("--csv", default=None, help="also write flops,n_nv,n_v,d_tokens,loss CSV here")
     p.set_defaults(handler=_cmd_frontier)
 
-    p = sub.add_parser("fit", help="fit scaling laws to a run log's frontier")
-    p.add_argument("--runs", default=None, help="run JSONL path (default stdin)")
-    p.add_argument("--bin-width", dest="bin_width", type=float, default=0.25)
+    p = sub.add_parser("fit", parents=[binned], help="fit scaling laws to a run log's frontier")
     p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("plan", help="evaluate fitted laws at a compute budget")

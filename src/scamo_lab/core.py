@@ -128,15 +128,12 @@ class RunTable(Sequence):
     def __len__(self) -> int:
         return len(self.run_id)
 
-    def __getitem__(self, index):
-        columns = [self.run_id[index], *(getattr(self, name)[index] for name in RUN_FIELDS[1:])]
+    def __getitem__(self, index):  # Sequence iterates through this, the one row builder
         if isinstance(index, slice):
-            return RunTable._of(*columns)
-        return RunRecord(columns[0], *(value.item() for value in columns[1:]))
-
-    def __iter__(self):
-        columns = (getattr(self, name).tolist() for name in RUN_FIELDS[1:])
-        return (RunRecord(*row) for row in zip(self.run_id, *columns))
+            return RunTable._of(self.run_id[index], *(getattr(self, name)[index]
+                                                      for name in RUN_FIELDS[1:]))
+        return RunRecord(self.run_id[index], *(getattr(self, name).item(index)
+                                               for name in RUN_FIELDS[1:]))
 
     def __eq__(self, other):
         if isinstance(other, RunTable):

@@ -9,6 +9,7 @@ silently absorbed; callers may opt into rescaling the token count.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -98,12 +99,12 @@ def plan_budget(
 ) -> BudgetPlan:
     """Evaluate the fitted laws at a budget.
 
-    vocab_size = round(n_v / d_model), with its nearest power of two reported
-    alongside. constraint_residual_log10 = log10(6 * (n_nv + n_v) * d / c)
-    measures the laws' drift from the compute identity. With rescale_d the
-    token count is divided by 10**residual, restoring the identity, and the
-    reported residual becomes (numerically) zero. The law values must be
-    finite, and n_nv and d_tokens positive.
+    vocab_size = round(n_v / d_model), with its nearest power of two reported alongside.
+    constraint_residual_log10 = log10(6 * (n_nv + n_v) * d / c) measures the laws' drift from
+    the compute identity, as a sum of logs where the product or the ratio is not a normal float;
+    a ratio that rounds to 0 or past float range is refused. With rescale_d the token count is
+    divided by 10**residual, restoring the identity, and the reported residual becomes
+    (numerically) zero. The law values must be finite, and n_nv and d_tokens positive.
     """
     _check_real("c_flops", c_flops, "positive")
     _check_int("d_model", d_model)
@@ -111,15 +112,21 @@ def plan_budget(
     predicted = fits.loss_vs_c.evaluate(c_flops)
     _check_real("predicted_loss", predicted)
 
-    def log10_ratio() -> float:  # of the current d_tokens; the ratio may underflow to 0
-        ratio = flops_approx(n_nv, n_v, d_tokens) / c_flops
-        return math.log10(_check_real("6 (n_nv + n_v) d_tokens / c_flops", ratio, "positive"))
+    def log10_ratio() -> float:  # of the current d_tokens
+        product = flops_approx(n_nv, n_v, d_tokens)
+        if all(sys.float_info.min <= x <= sys.float_info.max for x in (product, product / c_flops)):
+            return math.log10(product / c_flops)
+        # the product or the ratio lost bits or range: their sum of logs, if its ratio is a float
+        log_sum = (math.log10(6.0) + math.log10(n_nv + n_v) + math.log10(d_tokens)
+                   - math.log10(c_flops))  # 6 apart: 6 (n_nv + n_v) may pass float max
+        _check_real("6 (n_nv + n_v) d_tokens / c_flops", np.float64(10.0) ** log_sum, "positive")
+        return log_sum
 
-    residual = log10_ratio()
-    if rescale_d:  # numpy's scalar pow is Python's, but gives inf past float range: refused
-        with np.errstate(over="ignore"):
-            d_tokens /= _check_real("10**residual", float(np.float64(10.0) ** residual))
+    with np.errstate(over="ignore"):  # numpy's scalar pow is Python's, but gives inf past range
         residual = log10_ratio()
+        if rescale_d:  # a 10**residual past float range is inf: refused
+            d_tokens /= _check_real("10**residual", float(np.float64(10.0) ** residual))
+            residual = log10_ratio()
     vocab = _vocab(n_v, d_model)
     return BudgetPlan(
         flops_budget=float(c_flops),

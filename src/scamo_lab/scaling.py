@@ -129,19 +129,17 @@ def pareto_frontier(
 ) -> list[FrontierPoint]:
     """Loss-minimizing run per compute bucket, ascending in compute.
 
-    Buckets are floor(log10(flops) / bin_width) * bin_width, and a run exactly
-    on an edge k * bin_width falls in bucket k. Loss ties prefer smaller n_nv,
-    then smaller n_v, then the lexicographically smaller run_id, then the
-    earlier run. runs may be a RunTable or any sequence of RunRecords.
+    Buckets are floor(log10(flops) / bin_width) * bin_width, and a run exactly on an edge
+    k * bin_width falls in bucket k. Loss ties prefer smaller n_nv, then smaller n_v (exact ints:
+    12 * L * d**2 can pass int64), then the smaller run_id, then the earlier run. runs may be a
+    RunTable or any sequence of RunRecords; each point's run is runs[i], a list's own record.
     """
     _check_real("bin_width_log10", bin_width_log10, "positive")
     if len(runs) == 0:
         raise ValueError("no runs")
-    table = runs if isinstance(runs, RunTable) else RunTable(runs)
-    buckets, groups = _winners(table, bin_width_log10)
-    # each tied row's record is built once; ties break on its exact integer counts, as
-    # 12 * L * d**2 can pass int64
-    best = (min((((r := table[i]).n_nv(), r.n_v, r.run_id), i, r) for i in tied) for tied in groups)
+    buckets, groups = _winners(runs if isinstance(runs, RunTable) else RunTable(runs),
+                               bin_width_log10)  # a list's records are read, not rebuilt
+    best = (min((((r := runs[i]).n_nv(), r.n_v, r.run_id), i, r) for i in tied) for tied in groups)
     return [FrontierPoint(flops_bucket_log10=k * bin_width_log10, run=run, n_nv=float(n_nv),
                           n_v=float(n_v), d_tokens=float(run.tokens_trained),
                           loss=run.normalized_loss)

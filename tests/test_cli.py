@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from scamo_lab import FITS_PRESETS, ScalingFits, cli, load_runs
+from scamo_lab import (FITS_PRESETS, LogLawFit, PowerLawFit, ScalingFits, cli, flops_approx,
+                       load_runs, plan_budget)
 from scamo_lab.cli import _fmt_float, dumps, dumps_line, run
 from scamo_lab.core import _CHUNK_ROWS
 
@@ -789,6 +790,41 @@ def test_plan_names_a_compute_ratio_that_underflows(invoke, tmp_path):
     code, out, err = invoke(["plan", "--flops", "1e18", "--fits", str(fits_path), "--d-model", "8"])
     assert (code, out) == (1, "")
     assert err == "error: 6 (n_nv + n_v) d_tokens / c_flops must be positive and finite, got 0.0\n"
+
+
+def test_plan_takes_a_sum_of_logs_where_the_product_is_not_a_normal_float(invoke, tmp_path):
+    """Exponent-0 laws. (a) n_v, n_nv and d_tokens 1e200 at c 1e300: the product overflows.
+    (b) n_v 7.2e-105, n_nv 5.4e-32 and d_tokens 2.1e-293 at c 5.05e-34: the product is
+    subnormal, the ratio normal. (c) n_nv 10**307.5 at c 1: 6 (n_nv + n_v) overflows. Each
+    residual is the sum of logs, and rescale_d ends at 0. A ratio of exactly the smallest or the
+    largest normal float keeps log10(ratio)'s bits."""
+    def laws(*coefs):
+        return ScalingFits(*(PowerLawFit(coef, 0.0) for coef in coefs), PowerLawFit(0.0, 1.0),
+                           LogLawFit(0.0, 1.0))
+
+    tiny = (math.log10(7.2e-105), math.log10(5.4e-32), math.log10(2.1e-293))
+    for fits, c, residual in ((laws(200.0, 200.0, 200.0), 1e300, 101.0791812460476),
+                              (laws(*tiny), 5.05e-34, -289.8705270731781),
+                              (laws(300.0, 307.5, -300.0), 1.0, 8.278151264117241)):
+        raw, rescaled = (plan_budget(c, fits, 8, rescale_d) for rescale_d in (False, True))
+        assert (raw.n_v, raw.n_nv, raw.d_tokens) == fits.allocation(c)
+        assert raw.constraint_residual_log10 == pytest.approx(residual, rel=0, abs=1e-12)
+        assert abs(rescaled.constraint_residual_log10) <= 1e-12
+    # where the two forms differ in the last bit: a ratio on each edge of the normal range
+    edges = ((laws(-0.17, -2.4, -0.39), sys.float_info.min),
+             (laws(84.84, 36.92, 81.3), sys.float_info.max))
+    for fits, ratio in edges:
+        n_v, n_nv, d_tokens = fits.allocation(1.0)  # exponent 0: the same at every budget
+        product = flops_approx(n_nv, n_v, d_tokens)
+        c = next(x for x in (product / ratio, math.nextafter(product / ratio, 0.0))
+                 if product / x == ratio)
+        assert plan_budget(c, fits, 8).constraint_residual_log10 == math.log10(ratio)
+    (tmp_path / "fits.json").write_text(json.dumps(laws(200.0, 200.0, 200.0).to_json_dict()))
+    argv = ["plan", "--flops", "1e300", "--d-model", "8", "--fits", str(tmp_path / "fits.json")]
+    for flag, residual in (([], 101.0791812460476), (["--rescale-d"], 0.0)):
+        code, out, err = invoke([*argv, *flag])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["constraint_residual_log10"] == pytest.approx(residual, abs=1e-12)
 
 
 @pytest.mark.parametrize(

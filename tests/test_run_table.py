@@ -490,12 +490,18 @@ def test_frontier_judges_each_tied_row_once(case):
 
 
 def test_frontier_judges_each_winner_once_on_a_synth_sweep():
-    # no ties: one RunRecord a winner, and its ModelConfig built twice, for the record's
-    # divisibility rule and for n_nv
+    # no ties: from a table, one RunRecord a winner, and its ModelConfig built twice, for the
+    # record's divisibility rule and for n_nv; from a list, the caller's record and n_nv's config
     table = synth_runs(SynthSpec(PAPER, CGridSpec(14.1, 18.1, 100), 20, 0.05, 1))
     with counted_builds() as built:
         frontier = pareto_frontier(table, 0.1)
     assert len(frontier) == 41 and built == {"RunRecord": 41, "ModelConfig": 82}
+    records = list(table)
+    with counted_builds() as built:
+        from_list = pareto_frontier(records, 0.1)
+    assert from_list == frontier and built == {"RunRecord": 0, "ModelConfig": 41}
+    by_id = {r.run_id: r for r in records}
+    assert all(point.run is by_id[point.run.run_id] for point in from_list)
 
 
 def test_frontier_of_synth_sweep_matches_the_reference():
@@ -567,3 +573,13 @@ def test_table_rows_slices_and_equality():
         table.flops[0] = 1.0  # read-only: the columns stay checked
     with pytest.raises(IndexError):
         table[10]
+    # synth_runs' constant columns are read-only broadcast views: rows index them the same way
+    swept = synth_runs(SynthSpec(PAPER, CGridSpec(14.1, 18.1, 3), 2, 0.05, 1))
+    assert swept.n_heads.strides == (0,) and len(swept) == 6
+    rows = [swept[i] for i in range(len(swept))]
+    assert list(swept) == rows == list(reversed(swept))[::-1]
+    assert [tuple(r.to_dict().values()) for r in rows] == list(zip(
+        swept.run_id, *(getattr(swept, name).tolist() for name in RUN_FIELDS[1:])))
+    assert swept[-len(swept)] == swept[0]
+    with pytest.raises(IndexError):
+        swept[len(swept)]
